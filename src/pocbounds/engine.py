@@ -12,6 +12,41 @@ Traces record every candidate value before clamping (lower-bound branches go
 negative routinely), which branch won, and the child subquery traces.
 Conditional queries trace the joint event; the result interval is the joint
 interval divided by the evidence probability.
+
+Leave-one-out pruning. For each term t of a k-term node, T5-T8 could also
+bound the event through the (k-1)-term plain subquery `rest` that leaves t
+out: lo(rest) + partner(t) - 1 from below, where partner(t) is P(t) in T5 and
+the lower end of t's pair node in T6-T8, and hi(rest) from above. Evaluating
+every `rest` makes the recursion grow like 2^(k+2). The engine drops the
+upper form and evaluates the lower one only where it can win, and neither
+step changes an interval:
+
+* Upper. hi(rest) is never strictly below the node's other upper candidates
+  (each P(term), P(evidence), each pair(term), decomp). If it is some P(t')
+  it is one of them. Otherwise it is the decomp sum of rest, whose summands
+  are arm intervals clamped to >= 0; float addition is monotone, so the sum
+  is at least each summand. In T6 and T8 take the evidence arm x_p: each
+  upper candidate of (rest, x_p) is a candidate of the node or dominates
+  one, since P(x_p) >= P(x_p, y_q) and the T3 pair (t', x_p) dominates the
+  T4 pair (t', x_p, y_q). In T5 and T7 compare the two decomp sums arm by
+  arm, in the same order: each arm of rest has fewer terms or less evidence
+  than the node's arm, or the node skips that arm, and computed hi only
+  shrinks as terms or evidence are added.
+* Lower. lo(rest) <= hi(rest) <= min of P(t') over rest, since each P(t')
+  is an upper candidate of rest. Float rounding is monotone, so the cap
+  min(P(t')) + partner(t) - 1.0, computed with the same operations in the
+  same order as the candidate, is at least the candidate. The pair and
+  decomp children are evaluated first; `rest` is evaluated only when its
+  cap exceeds the best lower value found so far, so a skipped candidate
+  could at most have tied it.
+
+The one gap is float noise: make_interval swaps raw ends that cross by at
+most EPS_NUM, which can lift a node's hi by as much and break "hi only
+shrinks". tests/data/engine_corpus.json holds intervals computed
+with the full recursion, and the engine still reproduces them bit for bit.
+Skipped subqueries leave no trace and do not count in `stats_evaluated`; on
+inconsistent data, an InfeasibleInterval that only a skipped subquery would
+have raised no longer fires.
 """
 
 from __future__ import annotations
@@ -122,11 +157,11 @@ class _Evaluator:
             return self._t4(term, ex, ey)
         if ex is None and ey is None:
             return self._t5(terms)
-        if ex is not None and ey is None:
-            return self._t6(terms, ex)
+        if ey is None:
+            return self._evidence_node(terms, ex, None, "T6")
         if ex is None:
-            return self._t7(terms, ey)
-        return self._t8(terms, ex, ey)
+            return self._evidence_node(terms, None, ey, "T7")
+        return self._evidence_node(terms, ex, ey, "T8")
 
     def _node(self, terms, ex, ey, theorem, lower, upper, children):
         lo_label, lo_raw = max(lower, key=lambda cand: cand[1])
@@ -224,118 +259,87 @@ class _Evaluator:
     def _term_label(t):
         return f"y{t.outcome}_x{t.treatment}"
 
-    def _subsets(self, terms):
-        """(held-out term, remaining terms, P of held-out term) triples."""
-        for idx, t in enumerate(terms):
-            rest = terms[:idx] + terms[idx + 1 :]
-            yield t, rest, self.ds.p_do(t.treatment, t.outcome)
-
     def _t5(self, terms):
-        ds, k = self.ds, len(terms)
-        pes = [ds.p_do(t.treatment, t.outcome) for t in terms]
+        pes = [self.ds.p_do(t.treatment, t.outcome) for t in terms]
+        frechet = sum(pes) - (len(terms) - 1)
         children = []
-        lower = [("0", 0.0), ("frechet", sum(pes) - (k - 1))]
+        lower = [("0", 0.0), ("frechet", frechet)]
         upper = [(f"P({self._term_label(t)})", pe) for t, pe in zip(terms, pes)]
-        loo_lower, loo_upper = [], []
-        for t, rest, pe in self._subsets(terms):
-            sub_iv, sub_tr = self.eval(rest, None, None)
-            children.append(sub_tr)
-            loo_lower.append((f"loo({self._term_label(t)})", sub_iv.lo + pe - 1.0))
-            loo_upper.append((f"loo({self._term_label(t)})", sub_iv.hi))
-        # Law of total probability over X: each summand pins one treatment
-        # arm, collapsing a matching term into evidence.
+        dec_lo, dec_hi = self._decomp(terms, None, children)
+        lower += self._loo_lower(terms, pes, pes, max(0.0, frechet, dec_lo), children)
+        lower.append(("decomp", dec_lo))
+        upper.append(("decomp", dec_hi))
+        return self._node(terms, None, None, "T5", lower, upper, children)
+
+    def _evidence_node(self, terms, ex, ey, theorem):
+        """T6-T8: k terms jointly with observed x_p, y_q, or both."""
+        pes = [self.ds.p_do(t.treatment, t.outcome) for t in terms]
+        p_ev = _evidence_prob(self.ds, ex, ey)
+        frechet = sum(pes) + p_ev - len(terms)
+        children = []
+        lower = [("0", 0.0), ("frechet", frechet)]
+        upper = [(f"P({self._term_label(t)})", pe) for t, pe in zip(terms, pes)]
+        upper.append((_evidence_label(ex, ey), p_ev))
+        pair_los = []
+        for t in terms:
+            pair_iv, pair_tr = self.eval((t,), ex, ey)
+            children.append(pair_tr)
+            pair_los.append(pair_iv.lo)
+            upper.append((f"pair({self._term_label(t)})", pair_iv.hi))
+        best = max(0.0, frechet)
+        dec_lower = []
+        if ex is None:
+            dec_lo, dec_hi = self._decomp(terms, ey, children)
+            best = max(best, dec_lo)
+            dec_lower = [("decomp", dec_lo)]
+            upper.append(("decomp", dec_hi))
+        lower += self._loo_lower(terms, pes, pair_los, best, children) + dec_lower
+        return self._node(terms, ex, ey, theorem, lower, upper, children)
+
+    def _decomp(self, terms, q, children):
+        """Law of total probability over X, with observed outcome y_q or none.
+
+        Each summand pins one treatment arm. A term on that arm collapses into
+        evidence; with an observed y_q it contributes only when its outcome is
+        y_q, since otherwise the summand event is impossible (the arm's world
+        is the actual one) and adds 0.
+        """
         dec_lo = dec_hi = 0.0
         by_treatment = {t.treatment: t for t in terms}
-        for p in range(1, ds.space.m + 1):
+        for p in range(1, self.ds.space.m + 1):
             match = by_treatment.get(p)
-            if match is not None:
+            if match is None:
+                sub_iv, sub_tr = self.eval(terms, p, q)
+            elif q is None or match.outcome == q:
                 rest = tuple(t for t in terms if t.treatment != p)
                 sub_iv, sub_tr = self.eval(rest, p, match.outcome)
             else:
-                sub_iv, sub_tr = self.eval(terms, p, None)
+                continue
             children.append(sub_tr)
             dec_lo += sub_iv.lo
             dec_hi += sub_iv.hi
-        lower += loo_lower + [("decomp", dec_lo)]
-        upper += loo_upper + [("decomp", dec_hi)]
-        return self._node(terms, None, None, "T5", lower, upper, children)
+        return dec_lo, dec_hi
 
-    def _t6(self, terms, p):
-        ds, k = self.ds, len(terms)
-        pes = [ds.p_do(t.treatment, t.outcome) for t in terms]
-        p_x = ds.p_x(p)
-        children = []
-        lower = [("0", 0.0), ("frechet", sum(pes) + p_x - k)]
-        upper = [(f"P({self._term_label(t)})", pe) for t, pe in zip(terms, pes)]
-        upper.append((f"P(x{p})", p_x))
-        loo_lower, loo_upper, pair_upper = [], [], []
-        for t, rest, _ in self._subsets(terms):
-            sub_iv, sub_tr = self.eval(rest, None, None)
-            pair_iv, pair_tr = self.eval((t,), p, None)
-            children += [sub_tr, pair_tr]
-            loo_lower.append((f"loo({self._term_label(t)})", sub_iv.lo + pair_iv.lo - 1.0))
-            loo_upper.append((f"loo({self._term_label(t)})", sub_iv.hi))
-            pair_upper.append((f"pair({self._term_label(t)})", pair_iv.hi))
-        lower += loo_lower
-        upper += loo_upper + pair_upper
-        return self._node(terms, p, None, "T6", lower, upper, children)
+    def _loo_lower(self, terms, pes, partners, best, children):
+        """Leave-one-out lower candidates lo(rest) + partner - 1 that can win.
 
-    def _t7(self, terms, q):
-        ds, k = self.ds, len(terms)
-        pes = [ds.p_do(t.treatment, t.outcome) for t in terms]
-        p_y = ds.p_y(q)
-        children = []
-        lower = [("0", 0.0), ("frechet", sum(pes) + p_y - k)]
-        upper = [(f"P({self._term_label(t)})", pe) for t, pe in zip(terms, pes)]
-        upper.append((f"P(y{q})", p_y))
-        loo_lower, loo_upper, pair_upper = [], [], []
-        for t, rest, _ in self._subsets(terms):
-            sub_iv, sub_tr = self.eval(rest, None, None)
-            pair_iv, pair_tr = self.eval((t,), None, q)
-            children += [sub_tr, pair_tr]
-            loo_lower.append((f"loo({self._term_label(t)})", sub_iv.lo + pair_iv.lo - 1.0))
-            loo_upper.append((f"loo({self._term_label(t)})", sub_iv.hi))
-            pair_upper.append((f"pair({self._term_label(t)})", pair_iv.hi))
-        # Decomposition over X: an arm matching a term contributes only when
-        # the term's outcome equals the observed y_q; otherwise the summand
-        # event is impossible (the arm's world is the actual one) and adds 0.
-        dec_lo = dec_hi = 0.0
-        by_treatment = {t.treatment: t for t in terms}
-        for p in range(1, ds.space.m + 1):
-            match = by_treatment.get(p)
-            if match is not None:
-                if match.outcome != q:
-                    continue
-                rest = tuple(t for t in terms if t.treatment != p)
-                sub_iv, sub_tr = self.eval(rest, p, q)
-            else:
-                sub_iv, sub_tr = self.eval(terms, p, q)
+        `partners[idx]` pairs with the terms other than terms[idx]: P(term)
+        in T5, the pair interval's lo in T6-T8. Since lo(rest) <= min P over
+        rest, the same sum taken with that minimum caps the candidate, and
+        rest is evaluated only when the cap exceeds `best`, the largest lower
+        value so far.
+        """
+        cands = []
+        for idx, (t, partner) in enumerate(zip(terms, partners)):
+            cap = min(pes[:idx] + pes[idx + 1 :])
+            if cap + partner - 1.0 <= best:
+                continue
+            sub_iv, sub_tr = self.eval(terms[:idx] + terms[idx + 1 :], None, None)
             children.append(sub_tr)
-            dec_lo += sub_iv.lo
-            dec_hi += sub_iv.hi
-        lower += loo_lower + [("decomp", dec_lo)]
-        upper += loo_upper + pair_upper + [("decomp", dec_hi)]
-        return self._node(terms, None, q, "T7", lower, upper, children)
-
-    def _t8(self, terms, p, q):
-        ds, k = self.ds, len(terms)
-        pes = [ds.p_do(t.treatment, t.outcome) for t in terms]
-        p_xy = ds.p_joint(p, q)
-        children = []
-        lower = [("0", 0.0), ("frechet", sum(pes) + p_xy - k)]
-        upper = [(f"P({self._term_label(t)})", pe) for t, pe in zip(terms, pes)]
-        upper.append((f"P(x{p},y{q})", p_xy))
-        loo_lower, loo_upper, pair_upper = [], [], []
-        for t, rest, _ in self._subsets(terms):
-            sub_iv, sub_tr = self.eval(rest, None, None)
-            pair_iv, pair_tr = self.eval((t,), p, q)
-            children += [sub_tr, pair_tr]
-            loo_lower.append((f"loo({self._term_label(t)})", sub_iv.lo + pair_iv.lo - 1.0))
-            loo_upper.append((f"loo({self._term_label(t)})", sub_iv.hi))
-            pair_upper.append((f"pair({self._term_label(t)})", pair_iv.hi))
-        lower += loo_lower
-        upper += loo_upper + pair_upper
-        return self._node(terms, p, q, "T8", lower, upper, children)
+            value = sub_iv.lo + partner - 1.0
+            cands.append((f"loo({self._term_label(t)})", value))
+            best = max(best, value)
+        return cands
 
 
 def _evidence_label(ex, ey) -> str:

@@ -87,10 +87,14 @@ def make_interval(lo: float, hi: float, lo_label: str = "lower", hi_label: str =
 
 
 def frechet_lower(ps: Sequence[float]) -> float:
-    """max{0, sum(ps) - (len(ps) - 1)}: the Frechet lower bound of a conjunction."""
+    """max{0, sum(ps) - (len(ps) - 1)}: the Frechet lower bound of a conjunction.
+
+    Capped at min(ps), which it never exceeds in exact arithmetic but can in
+    floats: 1.0 + 0.03 - 1 rounds to 0.030000000000000027.
+    """
     if len(ps) == 0:
         raise EmptySequence("frechet_lower needs at least one probability")
-    return max(0.0, sum(ps) - (len(ps) - 1))
+    return min(min(ps), max(0.0, sum(ps) - (len(ps) - 1)))
 
 
 def frechet_upper(ps: Sequence[float]) -> float:

@@ -50,7 +50,9 @@ class TestTreatmentStudy:
         result = bound(treatment, "P(y3_x1, y1_x2, y2_x3)")
         assert result.interval.lo == 0.0
         assert result.interval.hi == pytest.approx(89 / 900, abs=1e-12)
-        assert result.stats_evaluated == 25
+        # P(y1_x2) is reached only through leave-one-out candidates that
+        # cannot win, so the pruned recursion skips it (25 nodes before).
+        assert result.stats_evaluated == 24
 
     def test_three_term_trace(self, treatment):
         trace = bound(treatment, "P(y3_x1, y1_x2, y2_x3)").trace
@@ -202,6 +204,25 @@ class TestEvaluatorControls:
         plain = bound(treatment, "P(y3_x1, y1_x2, y2_x3)", memoize=False)
         assert memo.interval == plain.interval
         assert memo.stats_evaluated == plain.stats_evaluated
+
+    def test_wide_query_prunes_leave_one_out_recursion(self):
+        # Consistent 8x4 counts: each experimental row is the observed row
+        # plus a split of the units outside that arm.
+        m, n = 8, 4
+        obs = [[1 + (5 * j + 3 * i) % 7 for i in range(n)] for j in range(m)]
+        total = sum(map(sum, obs))
+        exp = []
+        for j, row in enumerate(obs):
+            share = [(total - sum(row)) // n] * n
+            share[j % n] += total - sum(row) - sum(share)
+            exp.append([o + e for o, e in zip(row, share)])
+        ds = dataset_from_counts(exp, obs)
+        result = bound(ds, "P(y1_x1, y2_x2, y3_x3, y4_x4, y1_x5, y2_x6, y3_x7, y4_x8)")
+        assert result.interval.lo == 0.0
+        assert result.interval.hi == pytest.approx(23 / 127, abs=1e-12)
+        # The root, its 8 arms and their 7 pairs each; the full leave-one-out
+        # recursion evaluates 2,287 nodes here.
+        assert result.stats_evaluated == 65
 
     def test_accepts_query_objects_and_text(self, treatment):
         q = Query(terms=(CounterfactualTerm(1, 3), CounterfactualTerm(2, 1)))

@@ -1,0 +1,38 @@
+"""The engine against a stored corpus of its own intervals, bit for bit.
+
+`tests/data/engine_corpus.json` holds seeded tables, queries and the
+intervals the engine gave for them, as written by
+`scripts/engine_corpus.py --write`. Any change to the engine that moves an
+interval by one ulp, or changes which queries raise, fails here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "engine_corpus.py"
+
+
+def _corpus_module():
+    spec = importlib.util.spec_from_file_location("engine_corpus", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+corpus = _corpus_module()
+
+
+def test_corpus_covers_every_form_and_decisive_loo_branches():
+    doc = corpus.load()
+    queries = doc["queries"]
+    assert {e["form"] for e in queries} == set(corpus.FORMS)
+    assert any(t["skewed"] for t in doc["tables"])
+    assert max(len(t["exp"]) for t in doc["tables"]) == 6
+    # Queries whose interval a leave-one-out lower candidate decides: a
+    # pruning that dropped those candidates outright would fail on them.
+    assert sum(1 for e in queries if e.get("loo_lower")) >= 10
+
+
+def test_engine_matches_corpus_bit_for_bit():
+    mismatches = corpus.check()
+    assert not mismatches, f"{len(mismatches)} differ; first: {mismatches[0]}"

@@ -102,6 +102,11 @@ class TestFrechetCombinators:
         ps = [0.55, 0.6, 0.95]
         assert frechet_lower(ps) <= frechet_upper(ps)
 
+    def test_lower_capped_when_rounding_crosses(self):
+        # 1.0 + 0.03 - 1 rounds to 0.030000000000000027 > 0.03
+        assert frechet_lower([1.0, 0.03]) == frechet_upper([1.0, 0.03]) == 0.03
+        assert frechet_lower([1.0, 1e-09]) == 1e-09
+
 
 class TestIntersect:
     def test_plain_intersection(self):
