@@ -3,7 +3,7 @@
 Derive lower/upper bounds for conjunctions of counterfactual statements
 Y_{x_j} = y_i, optionally joint with or conditioned on observed events, from
 experimental P(y_i | do(x_j)) and observational P(x_j, y_i) tables. An exact
-LP over response types serves as the tightness oracle, and a seeded
+LP over treatment arms serves as the tightness oracle, and a seeded
 simulation study measures bound quality on random models.
 """
 
@@ -13,7 +13,6 @@ from .frechet import (
     Interval,
     frechet_lower,
     frechet_upper,
-    intersect,
     make_interval,
 )
 from .model import (
@@ -53,7 +52,7 @@ from .engine import (
     bound,
     tian_pearl,
 )
-from .oracle import BudgetExceeded, Infeasible, dump_lp, feasible, tight_bounds
+from .oracle import Infeasible, dump_lp, feasible, tight_bounds
 from .simgen import (
     SimulationRecord,
     SimulationSummary,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundResult",
     "BoundTrace",
-    "BudgetExceeded",
     "CanonicalQuery",
     "CounterfactualTerm",
     "DataError",
@@ -105,7 +103,6 @@ __all__ = [
     "frechet_lower",
     "frechet_upper",
     "generate_sample",
-    "intersect",
     "load_dataset",
     "make_interval",
     "parse_query",

@@ -229,7 +229,7 @@ def main(argv=None) -> int:
     except engine.ZeroEvidenceProbability as exc:
         print(f"undefined conditional: {exc}", file=sys.stderr)
         return 1
-    except (oracle.Infeasible, oracle.BudgetExceeded, InfeasibleInterval) as exc:
+    except (oracle.Infeasible, InfeasibleInterval) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -2,15 +2,15 @@
 
 Every theorem in the engine is a max over lower-bound candidates intersected
 with a min over upper-bound candidates; this module owns the interval type,
-the two Frechet primitives, and the intersection rule (including the
-infeasibility check that fires when a lower candidate exceeds every upper
-candidate by more than numerical noise).
+the two Frechet primitives, and make_interval (including the infeasibility
+check that fires when the lower end exceeds the upper by more than
+numerical noise).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Slack for infeasibility detection; float error accumulates across the
 # recursion but stays far below this.
@@ -102,22 +102,3 @@ def frechet_upper(ps: Sequence[float]) -> float:
     if len(ps) == 0:
         raise EmptySequence("frechet_upper needs at least one probability")
     return min(ps)
-
-
-def intersect(intervals: Iterable[Interval]) -> Interval:
-    """Intersect candidate intervals: [max of lows, min of highs], clamped.
-
-    Raises InfeasibleInterval naming the two witnesses when the intersection
-    is empty beyond EPS_NUM.
-    """
-    items = list(intervals)
-    if not items:
-        raise EmptySequence("intersect needs at least one interval")
-    lo_idx = max(range(len(items)), key=lambda idx: items[idx].lo)
-    hi_idx = min(range(len(items)), key=lambda idx: items[idx].hi)
-    return make_interval(
-        items[lo_idx].lo,
-        items[hi_idx].hi,
-        lo_label=f"lower of interval #{lo_idx}",
-        hi_label=f"upper of interval #{hi_idx}",
-    )

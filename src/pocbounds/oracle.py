@@ -1,30 +1,35 @@
-"""Exact tight bounds by linear programming over response types.
+"""Exact tight bounds by linear programming over treatment arms.
 
-A response type is a function from treatments to outcomes (one of n^m). The
-LP variables q[t][j] carry the mass of response type t co-occurring with
-observed treatment x_j, so both data sources become linear equality
-constraints and any conjunctive query event is a 0/1 objective. Minimizing
-and maximizing that objective over the feasible polytope gives the tight
-identification interval, which is the ground truth the engine's closed-form
-bounds are checked against.
+X splits the population into arms. In arm x_c the observed outcome is
+Y_{x_c}, whose joint with x_c is data; every other counterfactual Y_{x_j}
+enters only through its arm marginal r[j,c,y] = P(x_c, Y_{x_j} = y). The
+marginals satisfy
 
-Small programs are solved with an in-repo two-phase simplex over Fractions
-(the oracle must not inherit float drift); larger ones fall back to HiGHS.
+    sum_y r[j,c,y] = P(x_c)                               for each j != c,
+    sum_{c != j} r[j,c,y] = P(y | do x_j) - P(x_j, y)     for each (j, y).
+
+Marginals that meet these rows can be coupled freely inside each arm, so the
+query event restricted to arm x_c (at most one event per coordinate, with
+masses a_1..a_K) ranges exactly over the multi-marginal Frechet interval
+[max(0, sum a_k - (K-1) P(x_c)), min a_k]. The lower end is convex in r and
+the upper concave, so the tight minimum is an epigraph LP (s_c >= 0,
+s_c >= sum a_k - (K-1) P(x_c)) and the tight maximum a hypograph LP
+(u_c <= a_k). This is the paper's decomposition over treatment arms taken to
+its exact limit: m(m-1)n marginal columns plus a few per arm, where the
+response-type LP of Balke & Pearl (1997) needs n^m * m.
+
+Both programs are solved at every size with an in-repo two-phase simplex
+over Fractions, so the oracle never inherits float drift.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .frechet import Interval, make_interval
 from .model import Dataset
 from .queryir import (
-    EXACT,
-    STANDARD,
     ZERO,
     CanonicalQuery,
     Query,
@@ -33,10 +38,6 @@ from .queryir import (
     validate_indices,
 )
 from .engine import ZeroEvidenceProbability
-
-DEFAULT_VARIABLE_BUDGET = 4096
-# Exact arithmetic up to this many variables; 3x3 spaces need 81.
-DEFAULT_EXACT_LIMIT = 128
 
 _MAX_PIVOTS = 50_000
 # Dantzig pivoting is fast but can cycle; fall back to Bland's rule, which
@@ -48,83 +49,93 @@ class Infeasible(ValueError):
     """The data admit no joint response-type distribution."""
 
 
-class BudgetExceeded(ValueError):
-    pass
+def _arm_events(cq: CanonicalQuery, c: int):
+    """The query's events in arm x_c, or None when the arm contributes 0.
+
+    Returns the marginals (j, y) of the terms on other treatments, and the
+    outcome the arm must have observed (None when unconstrained).
+    """
+    if cq.evidence_x is not None and cq.evidence_x != c:
+        return None
+    observed = cq.evidence_y
+    cross = []
+    for term in cq.terms:
+        if term.treatment != c:
+            cross.append((term.treatment, term.outcome))
+        elif observed is not None and observed != term.outcome:
+            return None
+        else:
+            observed = term.outcome
+    return cross, observed
 
 
-def response_types(m: int, n: int) -> list[tuple[int, ...]]:
-    """All outcome assignments (t[0] for x_1, ..., t[m-1] for x_m), lexicographic."""
-    return list(itertools.product(range(1, n + 1), repeat=m))
+def _arm_lp(dataset: Dataset, cq: CanonicalQuery | None, maximize: bool):
+    """Equality form A z = b, z >= 0, of the tight min or max of cq.
 
-
-def _variable_count(dataset: Dataset) -> int:
-    m, n = dataset.space.m, dataset.space.n
-    return (n**m) * m
-
-
-def _build_constraints(dataset: Dataset):
-    """Equality system A q = b over exact rationals.
-
-    Rows: total mass; one row per observational cell; one row per
-    experimental cell. The redundancy among them is deliberate; the solver
-    tolerates dependent rows.
+    Returns (A, b, c, column names), where c is the objective in the
+    program's own sense. With cq None or a ZERO query the objective is zero
+    and only the marginal rows remain: the feasibility program.
     """
     m, n = dataset.space.m, dataset.space.n
-    types = response_types(m, n)
-    ncols = len(types) * m
-    zero, one = Fraction(0), Fraction(1)
-
-    def var(t_idx: int, j: int) -> int:
-        return t_idx * m + (j - 1)
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    rows.append([one] * ncols)
-    rhs.append(one)
-
+    obs, exp = dataset.obs, dataset.exp
+    names: list[str] = []
+    r: dict[tuple[int, int, int], int] = {}
     for j in range(1, m + 1):
-        for i in range(1, n + 1):
-            row = [zero] * ncols
-            for t_idx, t in enumerate(types):
-                if t[j - 1] == i:
-                    row[var(t_idx, j)] = one
-            rows.append(row)
-            rhs.append(dataset.obs.exact_joint(j, i))
+        for c in range(1, m + 1):
+            if c != j:
+                for y in range(1, n + 1):
+                    r[j, c, y] = len(names)
+                    names.append(f"r[x{j},x{c},y{y}]")
 
+    # Sparse rows (column -> coefficient), densified at the end.
+    rows: list[dict[int, int]] = []
+    b: list[Fraction] = []
     for j in range(1, m + 1):
-        for i in range(1, n + 1):
-            row = [zero] * ncols
-            for t_idx, t in enumerate(types):
-                if t[j - 1] == i:
-                    for jp in range(1, m + 1):
-                        row[var(t_idx, jp)] = one
-            rows.append(row)
-            rhs.append(dataset.exp.exact_do(j, i))
+        for c in range(1, m + 1):
+            if c != j:
+                rows.append({r[j, c, y]: 1 for y in range(1, n + 1)})
+                b.append(obs.exact_x(c))
+    for j in range(1, m + 1):
+        for y in range(1, n + 1):
+            rows.append({r[j, c, y]: 1 for c in range(1, m + 1) if c != j})
+            b.append(exp.exact_do(j, y) - obs.exact_joint(j, y))
 
-    return types, rows, rhs
-
-
-def _objective(dataset: Dataset, types, terms, ex, ey) -> list[Fraction]:
-    """0/1 coefficients selecting the query event.
-
-    A term y_i under x_j restricts to types with t(j) = i; evidence X = x_p
-    restricts to the column j = p; evidence Y = y_q requires the actual
-    outcome t(j) of the occupied column to be q.
-    """
-    m = dataset.space.m
-    zero, one = Fraction(0), Fraction(1)
-    coeffs = [zero] * (len(types) * m)
-    for t_idx, t in enumerate(types):
-        if any(t[term.treatment - 1] != term.outcome for term in terms):
+    objective: dict[int, int] = {}
+    arms = range(1, m + 1) if cq is not None and cq.kind != ZERO else ()
+    for c in arms:
+        events = _arm_events(cq, c)
+        if events is None:
             continue
-        for j in range(1, m + 1):
-            if ex is not None and j != ex:
-                continue
-            if ey is not None and t[j - 1] != ey:
-                continue
-            coeffs[t_idx * m + (j - 1)] = one
-    return coeffs
+        cross, observed = events
+        aux = len(names)
+        objective[aux] = 1
+        if maximize:
+            # u_c + w = a_k for each event, so u_c <= min a_k.
+            names.append(f"u[x{c}]")
+            for j, y in cross:
+                rows.append({aux: 1, len(names): 1, r[j, c, y]: -1})
+                b.append(Fraction(0))
+                names.append(f"w[x{c},y{y}_x{j}]")
+            if observed is not None:
+                rows.append({aux: 1, len(names): 1})
+                b.append(obs.exact_joint(c, observed))
+                names.append(f"w[x{c},y{observed}]")
+        else:
+            # s_c - t_c - sum of marginals = observed mass - (K-1) P(x_c),
+            # so s_c >= max(0, sum a_k - (K-1) P(x_c)).
+            names += [f"s[x{c}]", f"t[x{c}]"]
+            rows.append({aux: 1, aux + 1: -1, **{r[j, c, y]: -1 for j, y in cross}})
+            k = len(cross)
+            rhs = Fraction(0)
+            if observed is not None:
+                k += 1
+                rhs = obs.exact_joint(c, observed)
+            b.append(rhs - (k - 1) * obs.exact_x(c))
+
+    ncols = len(names)
+    A = [[Fraction(row.get(col, 0)) for col in range(ncols)] for row in rows]
+    c_vec = [Fraction(objective.get(col, 0)) for col in range(ncols)]
+    return A, b, c_vec, names
 
 
 # -- exact two-phase simplex ------------------------------------------------
@@ -238,25 +249,6 @@ def _solve_min_exact(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction], c: 
     return "optimal", -costrow[-1]
 
 
-def _solve_min_float(A, b, c):
-    from scipy.optimize import linprog
-
-    res = linprog(
-        c=np.array([float(v) for v in c]),
-        A_eq=np.array([[float(v) for v in row] for row in A]),
-        b_eq=np.array([float(v) for v in b]),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if res.status == 2:
-        return "infeasible", None
-    if res.status == 3:
-        return "unbounded", None
-    if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    return "optimal", float(res.fun)
-
-
 def _to_canonical(dataset: Dataset, query) -> CanonicalQuery:
     if isinstance(query, str):
         query = parse_query(query, dataset.space)
@@ -284,92 +276,64 @@ def _divisor_label(ex, ey) -> str:
     return f"P(y{ey})"
 
 
-def tight_bounds(
-    dataset: Dataset,
-    query,
-    *,
-    variable_budget: int = DEFAULT_VARIABLE_BUDGET,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
-) -> Interval:
-    """Tight [min, max] of the query probability over all compatible models.
-
-    Conditional queries divide the joint LP bounds by the exact evidence
-    probability, mirroring the engine's conditioning rule.
+def _exact_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fraction]:
+    """Tight (min, max) in exact arithmetic; conditional queries are divided
+    by the exact evidence probability, mirroring the engine's conditioning rule.
     """
-    cq = _to_canonical(dataset, query)
-    if cq.kind == ZERO:
-        if cq.conditional:
-            divisor = _exact_divisor(dataset, cq.divisor_x, cq.divisor_y)
-            if divisor == 0:
-                raise ZeroEvidenceProbability(_divisor_label(cq.divisor_x, cq.divisor_y), 0.0)
-        return Interval(0.0, 0.0)
-
-    nvars = _variable_count(dataset)
-    if nvars > variable_budget:
-        raise BudgetExceeded(f"{nvars} LP variables exceed the budget of {variable_budget}")
-    types, A, b = _build_constraints(dataset)
-    c = _objective(dataset, types, cq.terms, cq.evidence_x, cq.evidence_y)
-
-    solve = _solve_min_exact if nvars <= exact_limit else _solve_min_float
-    status_lo, vmin = solve(A, b, c)
-    if status_lo == "infeasible":
-        raise Infeasible(
-            "experimental and observational data admit no joint response-type distribution"
-        )
-    status_hi, neg_vmax = solve(A, b, [-v for v in c])
-    if status_lo != "optimal" or status_hi != "optimal":
-        raise RuntimeError(f"unexpected LP status: min={status_lo}, max={status_hi}")
-    vmax = -neg_vmax
-
+    vmin = vmax = Fraction(0)
+    if cq.kind != ZERO:
+        A, b, c, _ = _arm_lp(dataset, cq, maximize=False)
+        status_lo, vmin = _solve_min_exact(A, b, c)
+        if status_lo == "infeasible":
+            raise Infeasible(
+                "experimental and observational data admit no joint response-type distribution"
+            )
+        A, b, c, _ = _arm_lp(dataset, cq, maximize=True)
+        status_hi, neg_vmax = _solve_min_exact(A, b, [-v for v in c])
+        if status_lo != "optimal" or status_hi != "optimal":
+            raise RuntimeError(f"unexpected LP status: min={status_lo}, max={status_hi}")
+        vmax = -neg_vmax
     if cq.conditional:
         divisor = _exact_divisor(dataset, cq.divisor_x, cq.divisor_y)
         if divisor == 0:
             raise ZeroEvidenceProbability(_divisor_label(cq.divisor_x, cq.divisor_y), 0.0)
-        vmin = vmin / divisor
-        vmax = vmax / divisor
+        vmin, vmax = vmin / divisor, vmax / divisor
+    return vmin, vmax
+
+
+def tight_bounds(dataset: Dataset, query) -> Interval:
+    """Tight [min, max] of the query probability over all compatible models."""
+    vmin, vmax = _exact_bounds(dataset, _to_canonical(dataset, query))
     return make_interval(float(vmin), float(vmax), "LP min", "LP max")
 
 
-def feasible(
-    dataset: Dataset,
-    *,
-    variable_budget: int = DEFAULT_VARIABLE_BUDGET,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
-) -> bool:
+def feasible(dataset: Dataset) -> bool:
     """True iff the constraint system admits any joint distribution."""
-    nvars = _variable_count(dataset)
-    if nvars > variable_budget:
-        raise BudgetExceeded(f"{nvars} LP variables exceed the budget of {variable_budget}")
-    _, A, b = _build_constraints(dataset)
-    zero = [Fraction(0)] * nvars
-    solve = _solve_min_exact if nvars <= exact_limit else _solve_min_float
-    status, _ = solve(A, b, zero)
+    A, b, c, _ = _arm_lp(dataset, None, maximize=False)
+    status, _ = _solve_min_exact(A, b, c)
     return status == "optimal"
 
 
+def _linear(coeffs, names) -> str:
+    """Render a row whose coefficients are all 0 or +-1."""
+    text = ""
+    for v, name in zip(coeffs, names):
+        if v:
+            sign = "-" if v < 0 else "+"
+            text = f"{text} {sign} {name}" if text else ("-" if v < 0 else "") + name
+    return text or "0"
+
+
 def dump_lp(dataset: Dataset, query) -> str:
-    """Plain-text standard form (variables, constraints, objective)."""
+    """Plain-text equality form of the min and the max program."""
     cq = _to_canonical(dataset, query)
-    m = dataset.space.m
-    types, A, b = _build_constraints(dataset)
-    if cq.kind == ZERO:
-        c = [Fraction(0)] * (len(types) * m)
-    else:
-        c = _objective(dataset, types, cq.terms, cq.evidence_x, cq.evidence_y)
-
-    def var_name(idx: int) -> str:
-        t_idx, j = divmod(idx, m)
-        return f"q[t{t_idx}][x{j + 1}]"
-
-    lines = ["# variables: q[t][x_j] >= 0, response type t with observed treatment x_j"]
-    for t_idx, t in enumerate(types):
-        spelled = ", ".join(f"x{j + 1}->y{o}" for j, o in enumerate(t))
-        lines.append(f"# t{t_idx}: {spelled}")
-    lines.append("objective (min and max): " + (
-        " + ".join(var_name(i) for i, v in enumerate(c) if v != 0) or "0"
-    ))
-    lines.append("subject to:")
-    for row, rhs in zip(A, b):
-        terms_txt = " + ".join(var_name(i) for i, v in enumerate(row) if v != 0)
-        lines.append(f"  {terms_txt} = {rhs}")
+    lines = [
+        "# variables >= 0: r[xj,xc,yi] = P(xc, Y_xj = yi) for j != c;"
+        " per arm s, t (min) and u, w (max)"
+    ]
+    for sense, maximize in (("minimize", False), ("maximize", True)):
+        A, b, c, names = _arm_lp(dataset, cq, maximize)
+        lines.append(f"{sense}: {_linear(c, names)}")
+        lines.append("subject to:")
+        lines.extend(f"  {_linear(row, names)} = {rhs}" for row, rhs in zip(A, b))
     return "\n".join(lines)

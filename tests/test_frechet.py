@@ -8,7 +8,6 @@ from pocbounds.frechet import (
     Interval,
     frechet_lower,
     frechet_upper,
-    intersect,
     make_interval,
 )
 
@@ -106,17 +105,3 @@ class TestFrechetCombinators:
         # 1.0 + 0.03 - 1 rounds to 0.030000000000000027 > 0.03
         assert frechet_lower([1.0, 0.03]) == frechet_upper([1.0, 0.03]) == 0.03
         assert frechet_lower([1.0, 1e-09]) == 1e-09
-
-
-class TestIntersect:
-    def test_plain_intersection(self):
-        got = intersect([Interval(0.0, 0.6), Interval(0.2, 0.9), Interval(0.1, 0.7)])
-        assert got == Interval(0.2, 0.6)
-
-    def test_disjoint_raises_with_witnesses(self):
-        with pytest.raises(InfeasibleInterval):
-            intersect([Interval(0.0, 0.2), Interval(0.5, 0.9)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySequence):
-            intersect([])

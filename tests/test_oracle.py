@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,17 +6,11 @@ import pytest
 
 from pocbounds.engine import ZeroEvidenceProbability, bound
 from pocbounds.model import dataset_from_counts, dataset_from_probs
-from pocbounds.oracle import (
-    BudgetExceeded,
-    Infeasible,
-    dump_lp,
-    feasible,
-    response_types,
-    tight_bounds,
-)
-from pocbounds.queryir import parse_query
+from pocbounds.oracle import Infeasible, dump_lp, feasible, tight_bounds
+from pocbounds.queryir import canonicalize, parse_query
 
-from conftest import random_feasible_dataset, random_query
+from conftest import counts_from_masses, random_feasible_dataset, random_query
+from lp_reference import _objective, response_types
 
 INFEASIBLE_EXP = [[2, 8], [5, 5]]
 INFEASIBLE_OBS = [[5, 0], [2, 3]]  # P(x1,y1) = 0.5 > P(y1|do(x1)) = 0.2
@@ -96,25 +91,30 @@ class TestTightBounds:
         assert (first.lo, first.hi) == (second.lo, second.hi)
 
 
-class TestSolverPaths:
-    def test_exact_and_float_agree(self, vaccine):
-        queries = ["P(y2_x1, y4_x2)", "P(y3_x1, x2, y4)", "P(y1_x1, y4_x2)"]
-        for q in queries:
-            exact = tight_bounds(vaccine, q)  # 32 variables, exact path
-            approx = tight_bounds(vaccine, q, exact_limit=0)  # force HiGHS
-            assert approx.lo == pytest.approx(exact.lo, abs=1e-9)
-            assert approx.hi == pytest.approx(exact.hi, abs=1e-9)
-
-    def test_float_path_detects_infeasibility(self):
-        ds = dataset_from_counts(INFEASIBLE_EXP, INFEASIBLE_OBS)
-        with pytest.raises(Infeasible):
-            tight_bounds(ds, "P(y1_x1, y2_x2)", exact_limit=0)
-
-    def test_budget(self, treatment):
-        with pytest.raises(BudgetExceeded):
-            tight_bounds(treatment, "P(y1_x1)", variable_budget=80)
-        with pytest.raises(BudgetExceeded):
-            feasible(treatment, variable_budget=80)
+class TestLargeSpaces:
+    def test_five_by_four_space(self):
+        # 4^5 * 5 = 5,120 response-type columns; the arm LP has 80 marginals.
+        m, n = 5, 4
+        rng = random.Random(54)
+        types = list(itertools.product(range(1, n + 1), repeat=m))
+        masses = [[rng.randrange(0, 7) for _ in range(m)] for _ in types]
+        ds = dataset_from_counts(*counts_from_masses(masses, m, n))
+        flat = [w for row in masses for w in row]
+        for text in (
+            "P(y1_x1, y2_x2, y3_x3, y4_x4)",
+            "P(y1_x1, y2_x2, y3_x3, y4_x4, x5)",
+            "P(y2_x1, y2_x2, y3_x3, y4_x5, y1)",
+            "P(y2_x1, y2_x2, y3_x3, y4_x5, x4, y2)",
+        ):
+            cq = canonicalize(parse_query(text, ds.space))
+            assert len(cq.terms) == 4
+            lp = tight_bounds(ds, cq)
+            eng = bound(ds, text).interval
+            assert eng.contains_interval(lp, eps=1e-9), f"engine {eng} does not contain LP {lp} for {text}"
+            # the masses are a model of the data, so their value is attainable
+            coeffs = _objective(ds, types, cq.terms, cq.evidence_x, cq.evidence_y)
+            witness = Fraction(sum(w for w, v in zip(flat, coeffs) if v), sum(flat))
+            assert lp.contains(float(witness), eps=1e-12), f"{text}: {witness} outside {lp}"
 
 
 class TestFeasibility:
@@ -182,14 +182,27 @@ class TestDump:
         ds = dataset_from_counts([[6, 4], [3, 7]], [[3, 1], [2, 4]])
         text = dump_lp(ds, "P(y1_x1, y2_x2)")
         lines = text.splitlines()
-        assert lines[0].startswith("# variables:")
-        assert "# t0: x1->y1, x2->y1" in text
-        assert "objective (min and max): q[t1][x1] + q[t1][x2]" in text
-        assert "subject to:" in text
-        # 1 total-mass row + 4 observational + 4 experimental
-        assert sum(1 for ln in lines if ln.strip().endswith(f"= {Fraction(1)}") or " = " in ln) >= 9
-        assert any(ln.strip().endswith("= 1") for ln in lines)
+        assert lines[0].startswith("# variables >= 0: r[xj,xc,yi]")
+        # arm x1 observes y1 and needs Y_x2 = y2; arm x2 observes y2 and needs Y_x1 = y1
+        assert "minimize: s[x1] + s[x2]" in lines
+        assert "maximize: u[x1] + u[x2]" in lines
+        assert lines.count("subject to:") == 2
+        # supply rows: P(x1) = 2/5 and P(x2) = 3/5
+        assert "  r[x1,x2,y1] + r[x1,x2,y2] = 3/5" in lines
+        assert "  r[x2,x1,y1] + r[x2,x1,y2] = 2/5" in lines
+        # demand rows: P(y1 | do x1) - P(x1, y1) = 6/10 - 3/10
+        assert "  r[x1,x2,y1] = 3/10" in lines
+        # epigraph rows: s_c >= P(x_c, y_c) + r - P(x_c)
+        assert "  -r[x2,x1,y2] + s[x1] - t[x1] = -1/10" in lines
+        assert "  -r[x1,x2,y1] + s[x2] - t[x2] = -1/5" in lines
+        # hypograph rows: u_c <= each event mass
+        assert "  -r[x2,x1,y2] + u[x1] + w[x1,y2_x2] = 0" in lines
+        assert "  u[x1] + w[x1,y1] = 3/10" in lines
+        # 2 supply + 4 demand + 1 epigraph row per arm; 4 hypograph rows in the max
+        assert len(lines) == 1 + 2 * 2 + (6 + 2) + (6 + 4)
 
     def test_zero_query_dumps_zero_objective(self, treatment):
         text = dump_lp(treatment, "P(y1_x1, y2_x1)")
-        assert "objective (min and max): 0" in text
+        assert "minimize: 0" in text
+        assert "maximize: 0" in text
+        assert "s[x" not in text and "u[x" not in text

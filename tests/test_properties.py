@@ -188,7 +188,7 @@ class TestIntervalInvariants:
         lo, hi = frechet_lower(ps), frechet_upper(ps)
         assert 0.0 <= lo <= hi <= 1.0
         assert hi == min(ps)
-        assert lo == max(0.0, sum(ps) - (len(ps) - 1))
+        assert lo == min(min(ps), max(0.0, sum(ps) - (len(ps) - 1)))
 
     def test_empty_sequences_rejected(self):
         with pytest.raises(EmptySequence):
