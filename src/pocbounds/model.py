@@ -2,20 +2,30 @@
 
 Everything is indexed 1-based in the public API (treatment j in 1..m, outcome
 i in 1..n) to match the query notation; the first matrix index is always the
-treatment. Distributions carry both a float matrix and the exact rational
-values they came from, so the LP oracle can pose exactly-feasible constraints
-while the engine works in floats.
+treatment.
+
+Each distribution holds its exact values as integers: an experimental row j
+is num[j] / den[j], an observational cell num[j][i] / den. Counts are stored
+as given, with the row total or the grand total as denominator. Probability
+tables are lifted to rationals and scaled to integers over the least common
+denominator, so each row (or the whole table) sums to its denominator
+exactly. The floats the engine reads, P(y_i | do x_j), P(x_j, y_i) and the
+marginals P(x_j) and P(y_i), are computed once at ingest by integer true
+division, which Python rounds correctly: each equals float() of its exact
+rational. The LP oracle asks for the rationals through the exact_* accessors,
+which build each Fraction on demand.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from collections.abc import Sized
+from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 # Ingested counts are exact, so their sums must be exact; hand-typed
 # probability files get slack.
@@ -89,49 +99,67 @@ class ValidationReport:
         return cls(ok=not vs, violations=vs)
 
 
-def _freeze(matrix: np.ndarray) -> np.ndarray:
-    matrix.setflags(write=False)
-    return matrix
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentalDistribution:
-    """P(y_i | do(x_j)) as an m x n matrix; every row sums to 1."""
+    """P(y_i | do(x_j)) = num[j-1][i-1] / den[j-1]; every row sums to 1."""
 
-    p: np.ndarray
-    exact: tuple[tuple[Fraction, ...], ...]
+    num: tuple[tuple[int, ...], ...]
+    den: tuple[int, ...]
+    p: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "p", tuple(tuple(c / d for c in row) for row, d in zip(self.num, self.den))
+        )
 
     def p_do(self, j: int, i: int) -> float:
-        return float(self.p[j - 1, i - 1])
+        return self.p[j - 1][i - 1]
 
     def exact_do(self, j: int, i: int) -> Fraction:
-        return self.exact[j - 1][i - 1]
+        return Fraction(self.num[j - 1][i - 1], self.den[j - 1])
+
+    @property
+    def exact(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(c, d) for c in row) for row, d in zip(self.num, self.den))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObservationalDistribution:
-    """Joint P(x_j, y_i) as an m x n matrix summing to 1; marginals derived."""
+    """Joint P(x_j, y_i) = num[j-1][i-1] / den, summing to 1, with its marginals."""
 
-    p: np.ndarray
-    exact: tuple[tuple[Fraction, ...], ...]
+    num: tuple[tuple[int, ...], ...]
+    den: int
+    p: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    px: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    py: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = self.den
+        object.__setattr__(self, "p", tuple(tuple(c / d for c in row) for row in self.num))
+        object.__setattr__(self, "px", tuple(sum(row) / d for row in self.num))
+        object.__setattr__(self, "py", tuple(sum(col) / d for col in zip(*self.num)))
 
     def p_joint(self, j: int, i: int) -> float:
-        return float(self.p[j - 1, i - 1])
+        return self.p[j - 1][i - 1]
 
     def p_x(self, j: int) -> float:
-        return float(self.exact_x(j))
+        return self.px[j - 1]
 
     def p_y(self, i: int) -> float:
-        return float(self.exact_y(i))
+        return self.py[i - 1]
 
     def exact_joint(self, j: int, i: int) -> Fraction:
-        return self.exact[j - 1][i - 1]
+        return Fraction(self.num[j - 1][i - 1], self.den)
 
     def exact_x(self, j: int) -> Fraction:
-        return sum(self.exact[j - 1], Fraction(0))
+        return Fraction(sum(self.num[j - 1]), self.den)
 
     def exact_y(self, i: int) -> Fraction:
-        return sum((row[i - 1] for row in self.exact), Fraction(0))
+        return Fraction(sum(row[i - 1] for row in self.num), self.den)
+
+    @property
+    def exact(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(c, self.den) for c in row) for row in self.num)
 
 
 @dataclass(frozen=True)
@@ -146,22 +174,31 @@ class Dataset:
 
     # Accessor shorthands; the engine reads these in every formula.
     def p_do(self, j: int, i: int) -> float:
-        return self.exp.p_do(j, i)
+        return self.exp.p[j - 1][i - 1]
 
     def p_joint(self, j: int, i: int) -> float:
-        return self.obs.p_joint(j, i)
+        return self.obs.p[j - 1][i - 1]
 
     def p_x(self, j: int) -> float:
-        return self.obs.p_x(j)
+        return self.obs.px[j - 1]
 
     def p_y(self, i: int) -> float:
-        return self.obs.p_y(i)
+        return self.obs.py[i - 1]
+
+
+def _is_row(value) -> bool:
+    return isinstance(value, Sized) and not isinstance(value, (str, bytes))
 
 
 def _check_shape(matrix: Sequence[Sequence], space: ProblemSpace | None, what: str):
+    if not _is_row(matrix):
+        raise ShapeMismatch(f"{what}: expected a list of rows, got {matrix!r}")
     rows = len(matrix)
     if rows == 0:
         raise ShapeMismatch(f"{what}: empty matrix")
+    for j, row in enumerate(matrix, start=1):
+        if not _is_row(row):
+            raise ShapeMismatch(f"{what}: row x{j} must be a list of cells, got {row!r}")
     cols = {len(row) for row in matrix}
     if len(cols) != 1:
         raise ShapeMismatch(f"{what}: ragged rows {sorted(cols)}")
@@ -172,81 +209,95 @@ def _check_shape(matrix: Sequence[Sequence], space: ProblemSpace | None, what: s
 
 
 def _check_counts(counts: Sequence[Sequence], what: str):
-    for row in counts:
-        for c in row:
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
-                raise DataError(f"{what} must be nonnegative integers, got {c!r}")
+    for j, row in enumerate(counts, start=1):
+        for i, c in enumerate(row, start=1):
+            if isinstance(c, bool) or not isinstance(c, Integral) or c < 0:
+                raise DataError(
+                    f"{what} must be nonnegative integers, got {c!r} at (x{j}, y{i})"
+                )
 
 
 def _check_probs(probs: Sequence[Sequence], what: str):
-    for row in probs:
-        for v in row:
-            if not (-EPS_SUM_PROBS <= float(v) <= 1.0 + EPS_SUM_PROBS):
-                raise DataError(f"{what} must lie in [0,1], got {v!r}")
+    for j, row in enumerate(probs, start=1):
+        for i, v in enumerate(row, start=1):
+            if isinstance(v, bool) or not isinstance(v, Real):
+                raise DataError(f"{what} must be numbers, got {v!r} at (x{j}, y{i})")
+            if not (-EPS_SUM_PROBS <= v <= 1.0 + EPS_SUM_PROBS):
+                raise DataError(f"{what} must lie in [0,1], got {v!r} at (x{j}, y{i})")
 
 
-def _exp_exact_from_counts(counts) -> list[list[Fraction]]:
-    out = []
-    for j, row in enumerate(counts, start=1):
-        total = sum(int(c) for c in row)
+def _exp_from_counts(counts) -> ExperimentalDistribution:
+    num = tuple(tuple(int(c) for c in row) for row in counts)
+    den = tuple(sum(row) for row in num)
+    for j, total in enumerate(den, start=1):
         if total <= 0:
             raise ZeroRowTotal(f"experimental row for x{j} has zero total")
-        out.append([Fraction(int(c), total) for c in row])
-    return out
+    return ExperimentalDistribution(num, den)
 
 
-def _obs_exact_from_counts(counts) -> list[list[Fraction]]:
-    grand = sum(int(c) for row in counts for c in row)
+def _obs_from_counts(counts) -> ObservationalDistribution:
+    num = tuple(tuple(int(c) for c in row) for row in counts)
+    grand = sum(map(sum, num))
     if grand <= 0:
         raise ZeroGrandTotal("observational counts have zero grand total")
-    return [[Fraction(int(c), grand) for c in row] for row in counts]
+    return ObservationalDistribution(num, grand)
 
 
 def _lift(v: float) -> Fraction:
     return Fraction(max(0.0, float(v))).limit_denominator(_FLOAT_DENOMINATOR_LIMIT)
 
 
-def _exp_exact_from_probs(probs) -> list[list[Fraction]]:
-    out = []
+def _scaled(values: Sequence[float]) -> tuple[list[int], int]:
+    """Lift values to rationals and write them as integers over their lcm.
+
+    Returns (integers, lcm); integers[k] / lcm == _lift(values[k]) exactly,
+    so each renormalized value integers[k] / sum(integers) equals the lifted
+    value over the lifted sum.
+    """
+    frs = [_lift(v) for v in values]
+    scale = math.lcm(*(f.denominator for f in frs))
+    return [f.numerator * (scale // f.denominator) for f in frs], scale
+
+
+def _exp_from_probs(probs) -> ExperimentalDistribution:
+    num, den = [], []
     for j, row in enumerate(probs, start=1):
-        frs = [_lift(v) for v in row]
-        total = sum(frs, Fraction(0))
-        if abs(float(total) - 1.0) > EPS_SUM_PROBS:
-            raise DataError(f"experimental row for x{j} sums to {float(total)}, expected 1")
+        ints, scale = _scaled(row)
+        total = sum(ints)
+        if abs(total / scale - 1.0) > EPS_SUM_PROBS:
+            raise DataError(f"experimental row for x{j} sums to {total / scale}, expected 1")
         # Renormalize exactly so downstream equality constraints are feasible.
-        out.append([v / total for v in frs])
-    return out
+        num.append(tuple(ints))
+        den.append(total)
+    return ExperimentalDistribution(tuple(num), tuple(den))
 
 
-def _obs_exact_from_probs(probs) -> list[list[Fraction]]:
-    frs = [[_lift(v) for v in row] for row in probs]
-    grand = sum((v for row in frs for v in row), Fraction(0))
-    if abs(float(grand) - 1.0) > EPS_SUM_PROBS:
-        raise DataError(f"observational table sums to {float(grand)}, expected 1")
-    return [[v / grand for v in row] for row in frs]
+def _obs_from_probs(probs) -> ObservationalDistribution:
+    n = len(probs[0])
+    ints, scale = _scaled([v for row in probs for v in row])
+    grand = sum(ints)
+    if abs(grand / scale - 1.0) > EPS_SUM_PROBS:
+        raise DataError(f"observational table sums to {grand / scale}, expected 1")
+    num = tuple(tuple(ints[k : k + n]) for k in range(0, len(ints), n))
+    return ObservationalDistribution(num, grand)
 
 
 def _build_report(
-    exp_exact: Sequence[Sequence[Fraction]],
-    obs_exact: Sequence[Sequence[Fraction]],
+    exp: ExperimentalDistribution,
+    obs: ObservationalDistribution,
     eps_sum: float,
     eps_cons: float,
 ) -> ValidationReport:
-    m = len(exp_exact)
-    n = len(exp_exact[0])
     violations: list[Violation] = []
-    for j in range(1, m + 1):
-        row_sum = float(sum(exp_exact[j - 1], Fraction(0)))
+    for j, (row, den) in enumerate(zip(exp.num, exp.den), start=1):
+        row_sum = sum(row) / den
         if abs(row_sum - 1.0) > eps_sum:
             violations.append(Violation(j, 0, "rowSum", abs(row_sum - 1.0)))
-    total = float(sum((v for row in obs_exact for v in row), Fraction(0)))
+    total = sum(map(sum, obs.num)) / obs.den
     if abs(total - 1.0) > eps_sum:
         violations.append(Violation(0, 0, "totalSum", abs(total - 1.0)))
-    for j in range(1, m + 1):
-        p_x = float(sum(obs_exact[j - 1], Fraction(0)))
-        for i in range(1, n + 1):
-            p_do = float(exp_exact[j - 1][i - 1])
-            p_xy = float(obs_exact[j - 1][i - 1])
+    for j, (do_row, xy_row, p_x) in enumerate(zip(exp.p, obs.p, obs.px), start=1):
+        for i, (p_do, p_xy) in enumerate(zip(do_row, xy_row), start=1):
             # Consistency: P(x_j, y_i) <= P(y_i | do(x_j)) <= P(x_j, y_i) + 1 - P(x_j)
             if p_xy - p_do > eps_cons:
                 violations.append(Violation(j, i, "lower", p_xy - p_do))
@@ -258,24 +309,21 @@ def _build_report(
 def validate(dataset: Dataset, eps_cons: float | None = None) -> ValidationReport:
     """Re-check sum and consistency constraints; report-only, never raises."""
     eps = dataset.eps_cons if eps_cons is None else eps_cons
-    return _build_report(dataset.exp.exact, dataset.obs.exact, eps_sum=eps, eps_cons=eps)
+    return _build_report(dataset.exp, dataset.obs, eps_sum=eps, eps_cons=eps)
 
 
 def _assemble(
-    exp_exact: list[list[Fraction]],
-    obs_exact: list[list[Fraction]],
+    exp: ExperimentalDistribution,
+    obs: ObservationalDistribution,
     space: ProblemSpace,
     eps_sum: float,
     eps_cons: float,
 ) -> Dataset:
-    exp_p = _freeze(np.array([[float(v) for v in row] for row in exp_exact], dtype=float))
-    obs_p = _freeze(np.array([[float(v) for v in row] for row in obs_exact], dtype=float))
-    report = _build_report(exp_exact, obs_exact, eps_sum=eps_sum, eps_cons=eps_cons)
     return Dataset(
         space=space,
-        exp=ExperimentalDistribution(exp_p, tuple(tuple(row) for row in exp_exact)),
-        obs=ObservationalDistribution(obs_p, tuple(tuple(row) for row in obs_exact)),
-        validation=report,
+        exp=exp,
+        obs=obs,
+        validation=_build_report(exp, obs, eps_sum=eps_sum, eps_cons=eps_cons),
         eps_cons=eps_cons,
     )
 
@@ -313,8 +361,8 @@ def dataset_from_counts(
     _check_counts(exp_counts, "experimental counts")
     _check_counts(obs_counts, "observational counts")
     return _assemble(
-        _exp_exact_from_counts(exp_counts),
-        _obs_exact_from_counts(obs_counts),
+        _exp_from_counts(exp_counts),
+        _obs_from_counts(obs_counts),
         _make_space(m, n, space, treatment_labels, outcome_labels),
         EPS_SUM_COUNTS,
         EPS_CONS_COUNTS,
@@ -341,16 +389,9 @@ def dataset_from_probs(
         raise ShapeMismatch(f"experimental {m}x{n} vs observational {m2}x{n2}")
     _check_probs(exp_probs, "experimental probabilities")
     _check_probs(obs_probs, "observational probabilities")
-    exp_exact = _exp_exact_from_probs(exp_probs)
-    for j, row in enumerate(exp_exact, start=1):
-        if sum(row, Fraction(0)) == 0:
-            raise ZeroRowTotal(f"experimental row for x{j} has zero total")
-    obs_exact = _obs_exact_from_probs(obs_probs)
-    if sum((v for row in obs_exact for v in row), Fraction(0)) == 0:
-        raise ZeroGrandTotal("observational probabilities are all zero")
     return _assemble(
-        exp_exact,
-        obs_exact,
+        _exp_from_probs(exp_probs),
+        _obs_from_probs(obs_probs),
         _make_space(m, n, space, treatment_labels, outcome_labels),
         EPS_SUM_PROBS,
         EPS_CONS_PROBS,
@@ -388,20 +429,20 @@ def dataset_from_json(doc: dict) -> Dataset:
     _check_shape(obs_val, space, "observational table")
     if exp_is_counts:
         _check_counts(exp_val, "experimental counts")
-        exp_exact = _exp_exact_from_counts(exp_val)
+        exp = _exp_from_counts(exp_val)
     else:
         _check_probs(exp_val, "experimental probabilities")
-        exp_exact = _exp_exact_from_probs(exp_val)
+        exp = _exp_from_probs(exp_val)
     if obs_is_counts:
         _check_counts(obs_val, "observational counts")
-        obs_exact = _obs_exact_from_counts(obs_val)
+        obs = _obs_from_counts(obs_val)
     else:
         _check_probs(obs_val, "observational probabilities")
-        obs_exact = _obs_exact_from_probs(obs_val)
+        obs = _obs_from_probs(obs_val)
     all_counts = exp_is_counts and obs_is_counts
     return _assemble(
-        exp_exact,
-        obs_exact,
+        exp,
+        obs,
         space,
         EPS_SUM_COUNTS if all_counts else EPS_SUM_PROBS,
         EPS_CONS_COUNTS if all_counts else EPS_CONS_PROBS,

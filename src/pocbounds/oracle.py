@@ -69,12 +69,12 @@ def _arm_events(cq: CanonicalQuery, c: int):
     return cross, observed
 
 
-def _arm_lp(dataset: Dataset, cq: CanonicalQuery | None, maximize: bool):
+def _arm_lp(dataset: Dataset, cq: CanonicalQuery, maximize: bool):
     """Equality form A z = b, z >= 0, of the tight min or max of cq.
 
     Returns (A, b, c, column names), where c is the objective in the
-    program's own sense. With cq None or a ZERO query the objective is zero
-    and only the marginal rows remain: the feasibility program.
+    program's own sense. For a ZERO query the objective is zero and only the
+    marginal rows remain.
     """
     m, n = dataset.space.m, dataset.space.n
     obs, exp = dataset.obs, dataset.exp
@@ -101,7 +101,7 @@ def _arm_lp(dataset: Dataset, cq: CanonicalQuery | None, maximize: bool):
             b.append(exp.exact_do(j, y) - obs.exact_joint(j, y))
 
     objective: dict[int, int] = {}
-    arms = range(1, m + 1) if cq is not None and cq.kind != ZERO else ()
+    arms = range(1, m + 1) if cq.kind != ZERO else ()
     for c in arms:
         events = _arm_events(cq, c)
         if events is None:
@@ -143,14 +143,19 @@ def _arm_lp(dataset: Dataset, cq: CanonicalQuery | None, maximize: bool):
 
 def _pivot(rows, costrow, basis, r, e):
     piv = rows[r][e]
-    rows[r] = [v / piv for v in rows[r]]
-    for rr in range(len(rows)):
-        if rr != r and rows[rr][e] != 0:
-            factor = rows[rr][e]
-            rows[rr] = [a - factor * b for a, b in zip(rows[rr], rows[r])]
-    if costrow[e] != 0:
-        factor = costrow[e]
-        costrow[:] = [a - factor * b for a, b in zip(costrow, rows[r])]
+    prow = rows[r] = [v / piv if v else v for v in rows[r]]
+    # The arm LP's rows are mostly zeros, and a - f * 0 == a exactly, so only
+    # the pivot row's nonzero columns change in the other rows.
+    nonzero = [(k, v) for k, v in enumerate(prow) if v]
+    for rr, row in enumerate(rows):
+        factor = row[e]
+        if rr != r and factor != 0:
+            for k, v in nonzero:
+                row[k] -= factor * v
+    factor = costrow[e]
+    if factor != 0:
+        for k, v in nonzero:
+            costrow[k] -= factor * v
     basis[r] = e
 
 
@@ -308,10 +313,19 @@ def tight_bounds(dataset: Dataset, query) -> Interval:
 
 
 def feasible(dataset: Dataset) -> bool:
-    """True iff the constraint system admits any joint distribution."""
-    A, b, c, _ = _arm_lp(dataset, None, maximize=False)
-    status, _ = _solve_min_exact(A, b, c)
-    return status == "optimal"
+    """True iff the constraint system admits any joint distribution.
+
+    For each j the arm LP's marginal rows form a transportation problem:
+    supplies P(x_c) for c != j, demands P(y | do x_j) - P(x_j, y), and both
+    sum to 1 - P(x_j) on ingested data. It is feasible iff no demand is
+    negative, checked here exactly on the integer numerators.
+    """
+    exp, obs = dataset.exp, dataset.obs
+    return all(
+        e * obs.den >= o * d
+        for e_row, o_row, d in zip(exp.num, obs.num, exp.den)
+        for e, o in zip(e_row, o_row)
+    )
 
 
 def _linear(coeffs, names) -> str:

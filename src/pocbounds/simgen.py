@@ -5,6 +5,9 @@ eight sorted uniforms, then an observational layer drawn inside the
 consistency envelope. The real value of P(y1_x1, y1_x2) is the first mass
 f[0] by construction, so every sample checks containment and measures the
 gap of the derived bounds against a known ground truth.
+
+NumPy supplies the random streams. It is imported inside the functions that
+draw, so importing the package, or its CLI, does not load it.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-
-import numpy as np
 
 from .engine import bound
 from .frechet import Interval
@@ -57,13 +58,16 @@ class SimulationSummary:
     records: tuple[SimulationRecord, ...]
 
 
-def _draw_fractions(rng: np.random.Generator) -> np.ndarray:
+def _draw_fractions(rng):
+    """Nine response-type masses from eight sorted uniforms, as an array."""
+    import numpy as np
+
     cuts = np.sort(rng.uniform(0.0, 1.0, size=8))
     edges = np.concatenate(([0.0], cuts, [1.0]))
     return np.diff(edges)
 
 
-def _experimental_from_fractions(f: np.ndarray) -> list[list[float]]:
+def _experimental_from_fractions(f) -> list[list[float]]:
     # f[3*a + b] is the mass of the response type mapping x1 -> y_{a+1},
     # x2 -> y_{b+1}; marginalizing gives the two do-rows.
     do_x1 = [f[0] + f[1] + f[2], f[3] + f[4] + f[5], f[6] + f[7] + f[8]]
@@ -71,7 +75,7 @@ def _experimental_from_fractions(f: np.ndarray) -> list[list[float]]:
     return [do_x1, do_x2]
 
 
-def _draw_observational(rng: np.random.Generator, exp: list[list[float]]) -> list[list[float]] | None:
+def _draw_observational(rng, exp: list[list[float]]) -> list[list[float]] | None:
     p_y1_x1, p_y2_x1 = exp[0][0], exp[0][1]
     p_x1y1 = rng.uniform(0.0, p_y1_x1)
     p_x1y2 = rng.uniform(0.0, p_y2_x1)
@@ -94,8 +98,11 @@ def _draw_observational(rng: np.random.Generator, exp: list[list[float]]) -> lis
     return obs
 
 
-def generate_sample(rng: np.random.Generator) -> tuple[np.ndarray, Dataset]:
-    """One consistent (fractions, dataset) pair; redraws until valid."""
+def generate_sample(rng) -> tuple:
+    """One consistent (fractions, dataset) pair; redraws until valid.
+
+    rng is a NumPy Generator, and fractions the array of nine masses.
+    """
     for _ in range(MAX_REDRAWS):
         f = _draw_fractions(rng)
         exp = _experimental_from_fractions(f)
@@ -116,6 +123,8 @@ def run_simulation(num_samples: int, seed: int = 0) -> SimulationSummary:
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    import numpy as np
+
     records = []
     for idx in range(num_samples):
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))

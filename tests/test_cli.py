@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -196,8 +199,54 @@ class TestErrorPaths:
         assert code == 1
         assert "undefined conditional" in capsys.readouterr().err
 
+    def _validate_doc(self, tmp_path, capsys, **tables):
+        doc = {"treatments": ["x1", "x2"], "outcomes": ["y1", "y2"], **tables}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", "--data", str(path)]) == 1
+        return capsys.readouterr().err
+
+    def test_non_numeric_probability_cell(self, tmp_path, capsys):
+        err = self._validate_doc(
+            tmp_path,
+            capsys,
+            experimental_probs=[[0.6, 0.4], ["abc", 0.7]],
+            observational_probs=[[0.3, 0.1], [0.2, 0.4]],
+        )
+        assert err.startswith("data error: experimental probabilities")
+        assert "(x2, y1)" in err
+
+    def test_null_probability_cell(self, tmp_path, capsys):
+        err = self._validate_doc(
+            tmp_path,
+            capsys,
+            experimental_probs=[[0.6, 0.4], [0.3, 0.7]],
+            observational_probs=[[0.3, None], [0.2, 0.4]],
+        )
+        assert err.startswith("data error: observational probabilities")
+        assert "(x1, y2)" in err
+
+    def test_row_that_is_a_number(self, tmp_path, capsys):
+        err = self._validate_doc(
+            tmp_path,
+            capsys,
+            experimental_counts=[[1, 2], 5],
+            observational_counts=[[3, 1], [2, 4]],
+        )
+        assert err.startswith("data error: experimental table")
+        assert "row x2" in err
+
     def test_infeasible_oracle(self, tmp_path, capsys):
         data = write_data(tmp_path, [[2, 8], [5, 5]], [[5, 0], [2, 3]])
         code = main(["oracle", "--data", data, "--query", "P(y1_x1, y2_x2)"])
         assert code == 1
         assert "oracle error" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_numpy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "import sys, pocbounds.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,10 @@
 import json
+import re
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pocbounds.model import (
     DataError,
@@ -14,6 +16,7 @@ from pocbounds.model import (
     dataset_from_json,
     dataset_from_probs,
     load_dataset,
+    _lift,
     validate,
 )
 
@@ -91,10 +94,10 @@ class TestCountsIngestion:
             dataset_from_counts(EXP_2x2, OBS_2x2, ProblemSpace(3, 2))
 
     def test_matrices_immutable(self, treatment):
-        with pytest.raises(ValueError):
-            treatment.exp.p[0, 0] = 0.5
-        with pytest.raises(ValueError):
-            treatment.obs.p[0, 0] = 0.5
+        with pytest.raises(TypeError):
+            treatment.exp.p[0][0] = 0.5
+        with pytest.raises(TypeError):
+            treatment.obs.p[0][0] = 0.5
 
 
 class TestProbsIngestion:
@@ -240,5 +243,104 @@ class TestFloatExactAgreement:
                 assert vaccine.p_joint(j, i) == float(vaccine.obs.exact_joint(j, i))
 
     def test_numpy_matrix_matches_accessors(self, institute):
-        assert np.allclose(institute.exp.p.sum(axis=1), 1.0)
-        assert institute.obs.p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert all(sum(row) == pytest.approx(1.0, abs=1e-12) for row in institute.exp.p)
+        assert sum(map(sum, institute.obs.p)) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def count_tables(draw):
+    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    cell = st.integers(0, 10**6)
+    exp = [draw(st.lists(cell, min_size=n, max_size=n).filter(any)) for _ in range(m)]
+    obs = [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(m)]
+    if not any(map(any, obs)):
+        obs[0][0] = 1
+    return exp, obs
+
+
+@st.composite
+def prob_row(draw, size):
+    """size probabilities summing to 1 in floats, with unrelated denominators."""
+    ratios = st.integers(1, 10**6).flatmap(lambda b: st.tuples(st.integers(0, b), st.just(b)))
+    head = [a / (b * size) for a, b in draw(st.lists(ratios, min_size=size - 1, max_size=size - 1))]
+    return head + [1.0 - sum(head)]
+
+
+@st.composite
+def prob_tables(draw):
+    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    exp = [draw(prob_row(n)) for _ in range(m)]
+    flat = draw(prob_row(m * n))
+    obs = [flat[j * n : (j + 1) * n] for j in range(m)]
+    return exp, obs
+
+
+def _assert_floats_match_exact(ds, exp_exact, obs_exact):
+    """Accessors against float() of exact_*, and exact_* against a Fraction reference."""
+    m, n = ds.space.m, ds.space.n
+    for j in range(1, m + 1):
+        for i in range(1, n + 1):
+            assert ds.exp.exact_do(j, i) == exp_exact[j - 1][i - 1]
+            assert ds.obs.exact_joint(j, i) == obs_exact[j - 1][i - 1]
+            assert ds.p_do(j, i) == float(ds.exp.exact_do(j, i))
+            assert ds.p_joint(j, i) == float(ds.obs.exact_joint(j, i))
+        assert ds.obs.exact_x(j) == sum(obs_exact[j - 1], Fraction(0))
+        assert ds.p_x(j) == float(ds.obs.exact_x(j))
+    for i in range(1, n + 1):
+        assert ds.obs.exact_y(i) == sum((row[i - 1] for row in obs_exact), Fraction(0))
+        assert ds.p_y(i) == float(ds.obs.exact_y(i))
+    assert ds.exp.exact == tuple(map(tuple, exp_exact))
+    assert ds.obs.exact == tuple(map(tuple, obs_exact))
+
+
+class TestIntegerLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(count_tables())
+    def test_count_tables(self, tables):
+        exp, obs = tables
+        ds = dataset_from_counts(exp, obs)
+        grand = sum(map(sum, obs))
+        _assert_floats_match_exact(
+            ds,
+            [[Fraction(c, sum(row)) for c in row] for row in exp],
+            [[Fraction(c, grand) for c in row] for row in obs],
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(prob_tables())
+    def test_probability_tables(self, tables):
+        exp, obs = tables
+        ds = dataset_from_probs(exp, obs)
+        exp_lift = [[_lift(v) for v in row] for row in exp]
+        obs_lift = [[_lift(v) for v in row] for row in obs]
+        grand = sum((v for row in obs_lift for v in row), Fraction(0))
+        _assert_floats_match_exact(
+            ds,
+            [[v / sum(row, Fraction(0)) for v in row] for row in exp_lift],
+            [[v / grand for v in row] for row in obs_lift],
+        )
+
+
+class TestMalformedCells:
+    @pytest.mark.parametrize(
+        "exp, obs, where",
+        [
+            ([[6, "4"], [3, 7]], OBS_2x2, "(x1, y2)"),
+            ([[6, 4], [3, None]], OBS_2x2, "(x2, y2)"),
+            (EXP_2x2, [[3, 1], [[2], 4]], "(x2, y1)"),
+            (EXP_2x2, [[3, 1], 5], "row x2"),
+        ],
+    )
+    def test_counts(self, exp, obs, where):
+        with pytest.raises(DataError, match=re.escape(where)):
+            dataset_from_counts(exp, obs)
+
+    @pytest.mark.parametrize("cell", ["abc", None, True, [0.5]])
+    def test_probability_cells(self, cell):
+        exp = [[0.6, 0.4], [cell, 0.7]]
+        with pytest.raises(DataError, match=r"experimental probabilities .* at \(x2, y1\)"):
+            dataset_from_probs(exp, [[0.3, 0.1], [0.2, 0.4]])
+
+    def test_table_not_a_list(self):
+        with pytest.raises(DataError, match="observational counts"):
+            dataset_from_counts(EXP_2x2, 5)
