@@ -229,8 +229,12 @@ def main(argv=None) -> int:
     except engine.ZeroEvidenceProbability as exc:
         print(f"undefined conditional: {exc}", file=sys.stderr)
         return 1
-    except (oracle.Infeasible, InfeasibleInterval) as exc:
+    except oracle.Infeasible as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
+        return 1
+    except InfeasibleInterval as exc:
+        # The engine's bounds crossed: the data are inconsistent beyond float noise.
+        print(f"inconsistent data: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)

@@ -6,14 +6,17 @@ treatment.
 
 Each distribution holds its exact values as integers: an experimental row j
 is num[j] / den[j], an observational cell num[j][i] / den. Counts are stored
-as given, with the row total or the grand total as denominator. Probability
-tables are lifted to rationals and scaled to integers over the least common
-denominator, so each row (or the whole table) sums to its denominator
-exactly. The floats the engine reads, P(y_i | do x_j), P(x_j, y_i) and the
-marginals P(x_j) and P(y_i), are computed once at ingest by integer true
-division, which Python rounds correctly: each equals float() of its exact
-rational. The LP oracle asks for the rationals through the exact_* accessors,
-which build each Fraction on demand.
+as given, with the row total or the grand total as denominator. Each cell
+of a probability table is lifted to the closest rational with denominator at
+most 10**9, the value Fraction.limit_denominator gives, found by a
+continued-fraction walk in plain ints (_lift); each row (or the whole table)
+is then scaled to integers over the least common denominator, so it sums to
+its denominator exactly. No Fraction is built at ingest. The floats the
+engine reads, P(y_i | do x_j), P(x_j, y_i) and the marginals P(x_j) and
+P(y_i), are computed once at ingest by integer true division, which Python
+rounds correctly: each equals float() of its exact rational. The LP oracle
+asks for the rationals through the exact_* accessors, which build each
+Fraction on demand.
 """
 
 from __future__ import annotations
@@ -243,20 +246,51 @@ def _obs_from_counts(counts) -> ObservationalDistribution:
     return ObservationalDistribution(num, grand)
 
 
-def _lift(v: float) -> Fraction:
-    return Fraction(max(0.0, float(v))).limit_denominator(_FLOAT_DENOMINATOR_LIMIT)
+def _lift(v: float) -> tuple[int, int]:
+    """The closest rational p/q to max(0, v) with q <= _FLOAT_DENOMINATOR_LIMIT.
+
+    Returns (p, q) in lowest terms, equal to
+    Fraction(max(0.0, v)).limit_denominator(_FLOAT_DENOMINATOR_LIMIT), by the
+    stdlib's continued-fraction walk in plain ints. A float is a dyadic rational,
+    so a denominator within the limit is returned as is. Otherwise the walk
+    stops at the last convergent p1/q1 within the limit; the other candidate
+    is the semiconvergent (p0 + k*p1)/(q0 + k*q1) with the largest k that
+    keeps its denominator within the limit. The two lie on either side of
+    the value, 1/(q1*(q0 + k*q1)) apart, and p1/q1 is d/(q1*den) from it,
+    where den is the float's denominator and d the walk's last remainder; so
+    p1/q1 is at least as close iff 2*d*(q0 + k*q1) <= den, and a tie goes to
+    it, as in the stdlib.
+    """
+    n, den = max(0.0, float(v)).as_integer_ratio()
+    limit = _FLOAT_DENOMINATOR_LIMIT
+    if den <= limit:
+        return n, den
+    d = den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > limit:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (limit - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
 def _scaled(values: Sequence[float]) -> tuple[list[int], int]:
     """Lift values to rationals and write them as integers over their lcm.
 
-    Returns (integers, lcm); integers[k] / lcm == _lift(values[k]) exactly,
-    so each renormalized value integers[k] / sum(integers) equals the lifted
-    value over the lifted sum.
+    Returns (integers, lcm); integers[k] / lcm == p/q for (p, q) =
+    _lift(values[k]) exactly, so each renormalized value integers[k] /
+    sum(integers) equals the lifted value over the lifted sum. All of it is
+    int arithmetic; no Fraction is built.
     """
-    frs = [_lift(v) for v in values]
-    scale = math.lcm(*(f.denominator for f in frs))
-    return [f.numerator * (scale // f.denominator) for f in frs], scale
+    lifted = [_lift(v) for v in values]
+    scale = math.lcm(*(q for _, q in lifted))
+    return [p * (scale // q) for p, q in lifted], scale
 
 
 def _exp_from_probs(probs) -> ExperimentalDistribution:

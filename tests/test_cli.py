@@ -242,6 +242,24 @@ class TestErrorPaths:
         assert code == 1
         assert "oracle error" in capsys.readouterr().err
 
+    def test_engine_infeasible_interval_not_blamed_on_oracle(self, tmp_path, capsys):
+        # The consistency gap, 5e-7, is inside the 1e-6 slack that probability
+        # tables validate with, so --strict lets it through; the engine's own
+        # 1e-9 check then fails, and the report must name the data, not the oracle.
+        doc = {
+            "treatments": ["x1", "x2"],
+            "outcomes": ["y1", "y2"],
+            "experimental_probs": [[0.3, 0.7], [0.5, 0.5]],
+            "observational_probs": [[0.3000005, 0.1999995], [0.2, 0.3]],
+        }
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["bound", "--data", str(path), "--strict", "--query", "P(y1_x1, y2_x2)"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("inconsistent data: infeasible interval:")
+        assert "oracle" not in err
+
 
 def test_cli_import_loads_no_numpy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

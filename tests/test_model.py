@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pocbounds import model
 from pocbounds.model import (
     DataError,
     ProblemSpace,
@@ -17,6 +18,7 @@ from pocbounds.model import (
     dataset_from_probs,
     load_dataset,
     _lift,
+    _scaled,
     validate,
 )
 
@@ -275,6 +277,66 @@ def prob_tables(draw):
     return exp, obs
 
 
+def stdlib_lift(v, limit=10**9):
+    """The rational that probability cells are lifted to, by the stdlib's own algorithm."""
+    return Fraction(max(0.0, v)).limit_denominator(limit)
+
+
+def _pair(f: Fraction) -> tuple[int, int]:
+    return f.numerator, f.denominator
+
+
+class TestLift:
+    """`_lift` walks the continued fraction in ints; it must equal the stdlib exactly."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-1e-6, 1.0 + 1e-6))
+    def test_probability_range(self, v):
+        assert _lift(v) == _pair(stdlib_lift(v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0), st.integers(1, 17))
+    def test_rounded_values(self, v, digits):
+        v = round(v, digits)
+        assert _lift(v) == _pair(stdlib_lift(v))
+
+    @pytest.mark.parametrize("e", [29, 30, 31])
+    def test_dyadics_around_the_early_return(self, e):
+        # 2**29 is within the denominator limit, 2**30 and 2**31 are past it
+        assert 2**29 <= model._FLOAT_DENOMINATOR_LIMIT < 2**30
+        scale = 2**e
+        ks = [1, 2, 3, 5, 7, 2**e - 1, 2**(e - 1) + 1, *range(12345, 2**e, 2**e // 997)]
+        for k in ks:
+            v = k / scale
+            assert _lift(v) == _pair(stdlib_lift(v)), k
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 1.0, -1e-6, 1.0 + 1e-6, 1 / 3, 0.1])
+    def test_special_values(self, v):
+        assert _lift(v) == _pair(stdlib_lift(v))
+
+    def test_numpy_float64(self):
+        import numpy as np
+
+        values = np.random.default_rng(8).random(200)
+        for v in values:
+            assert isinstance(v, np.float64)
+            assert _lift(v) == _pair(stdlib_lift(float(v)))
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 7, 10, 64, 1000])
+    def test_ties_and_small_limits(self, monkeypatch, limit):
+        # Under a small limit, halfway values occur (0.5 with limit 1, say);
+        # the stdlib gives a tie to the candidate with the smaller denominator.
+        monkeypatch.setattr(model, "_FLOAT_DENOMINATOR_LIMIT", limit)
+        for k in range(0, 257):
+            v = k / 256
+            assert _lift(v) == _pair(stdlib_lift(v, limit)), (limit, k)
+
+    def test_scaled_is_exact(self):
+        values = [0.1, 0.2, 1 / 3, 0.37]
+        ints, scale = _scaled(values)
+        assert [Fraction(c, scale) for c in ints] == [stdlib_lift(v) for v in values]
+
+
 def _assert_floats_match_exact(ds, exp_exact, obs_exact):
     """Accessors against float() of exact_*, and exact_* against a Fraction reference."""
     m, n = ds.space.m, ds.space.n
@@ -311,8 +373,8 @@ class TestIntegerLayout:
     def test_probability_tables(self, tables):
         exp, obs = tables
         ds = dataset_from_probs(exp, obs)
-        exp_lift = [[_lift(v) for v in row] for row in exp]
-        obs_lift = [[_lift(v) for v in row] for row in obs]
+        exp_lift = [[stdlib_lift(v) for v in row] for row in exp]
+        obs_lift = [[stdlib_lift(v) for v in row] for row in obs]
         grand = sum((v for row in obs_lift for v in row), Fraction(0))
         _assert_floats_match_exact(
             ds,
