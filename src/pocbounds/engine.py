@@ -51,9 +51,9 @@ have raised no longer fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .frechet import EPS_NUM, Interval, make_interval
+from .frechet import EPS_NUM, InfeasibleInterval, Interval, make_interval
 from .model import Dataset
 from .queryir import (
     EXACT,
@@ -86,8 +86,7 @@ class NotBinary(ValueError):
     """The Tian-Pearl special cases need m = n = 2."""
 
 
-@dataclass(frozen=True)
-class BoundTrace:
+class BoundTrace(NamedTuple):
     """One derivation node: which theorem ran and which branches won.
 
     Candidate lists keep the raw branch values before clamping, so the
@@ -116,8 +115,7 @@ class BoundTrace:
         }
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     interval: Interval
     trace: BoundTrace
     stats_evaluated: int
@@ -166,7 +164,11 @@ class _Evaluator:
     def _node(self, terms, ex, ey, theorem, lower, upper, children):
         lo_label, lo_raw = max(lower, key=lambda cand: cand[1])
         hi_label, hi_raw = min(upper, key=lambda cand: cand[1])
-        interval = make_interval(lo_raw, hi_raw, lo_label, hi_label)
+        try:
+            interval = make_interval(lo_raw, hi_raw, lo_label, hi_label)
+        except InfeasibleInterval:
+            node = subquery_label(terms, ex, ey)
+            raise InfeasibleInterval(lo_raw, hi_raw, lo_label, hi_label, node) from None
         trace = BoundTrace(
             query=subquery_label(terms, ex, ey),
             theorem=theorem,

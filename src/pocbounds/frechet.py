@@ -9,8 +9,7 @@ numerical noise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # Slack for infeasibility detection; float error accumulates across the
 # recursion but stays far below this.
@@ -22,21 +21,35 @@ class EmptySequence(ValueError):
 
 
 class InfeasibleInterval(ValueError):
-    """A lower bound exceeded an upper bound by more than EPS_NUM."""
+    """A lower bound exceeded an upper bound by more than EPS_NUM.
 
-    def __init__(self, lo: float, hi: float, lo_label: str = "lower", hi_label: str = "upper"):
+    `node` names the subquery whose bounds crossed, when the engine knows it.
+    """
+
+    def __init__(
+        self,
+        lo: float,
+        hi: float,
+        lo_label: str = "lower",
+        hi_label: str = "upper",
+        node: str | None = None,
+    ):
         self.lo = lo
         self.hi = hi
         self.lo_label = lo_label
         self.hi_label = hi_label
+        self.node = node
+        at = "" if node is None else f" at node {node}"
         super().__init__(
-            f"infeasible interval: {lo_label} = {lo!r} exceeds {hi_label} = {hi!r}"
+            f"infeasible interval: {lo_label} = {lo!r} exceeds {hi_label} = {hi!r}{at}"
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """A [lo, hi] identification interval; both ends are probabilities."""
+class Interval(NamedTuple):
+    """A [lo, hi] identification interval; both ends are probabilities.
+
+    A tuple, so it unpacks as `lo, hi = interval` and equals (lo, hi).
+    """
 
     lo: float
     hi: float
@@ -62,10 +75,6 @@ class Interval:
         P(A, e) divided by P(e).
         """
         return make_interval(self.lo / divisor, self.hi / divisor)
-
-    def __iter__(self):
-        yield self.lo
-        yield self.hi
 
 
 def make_interval(lo: float, hi: float, lo_label: str = "lower", hi_label: str = "upper") -> Interval:

@@ -24,11 +24,10 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sized
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # Ingested counts are exact, so their sums must be exact; hand-typed
 # probability files get slack.
@@ -57,21 +56,24 @@ class ZeroGrandTotal(DataError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class ProblemSpace:
-    """m treatment values x_1..x_m and n outcome values y_1..y_n."""
-
+class _ProblemSpaceFields(NamedTuple):
     m: int
     n: int
     treatment_labels: tuple[str, ...] | None = None
     outcome_labels: tuple[str, ...] | None = None
 
-    def __post_init__(self):
-        if self.m < 2 or self.n < 2:
-            raise DataError(f"need at least two values per axis, got m={self.m}, n={self.n}")
+
+class ProblemSpace(_ProblemSpaceFields):
+    """m treatment values x_1..x_m and n outcome values y_1..y_n."""
+
+    __slots__ = ()
+
+    def __new__(cls, m, n, treatment_labels=None, outcome_labels=None):
+        if m < 2 or n < 2:
+            raise DataError(f"need at least two values per axis, got m={m}, n={n}")
         for labels, count, axis in (
-            (self.treatment_labels, self.m, "treatment"),
-            (self.outcome_labels, self.n, "outcome"),
+            (treatment_labels, m, "treatment"),
+            (outcome_labels, n, "outcome"),
         ):
             if labels is None:
                 continue
@@ -79,10 +81,10 @@ class ProblemSpace:
                 raise DataError(f"{axis} labels: expected {count}, got {len(labels)}")
             if len(set(labels)) != len(labels):
                 raise DataError(f"{axis} labels must be unique")
+        return super().__new__(cls, m, n, treatment_labels, outcome_labels)
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed check; j/i are 0 when the check is not cell-specific."""
 
     j: int
@@ -91,8 +93,7 @@ class Violation:
     magnitude: float
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -102,18 +103,50 @@ class ValidationReport:
         return cls(ok=not vs, violations=vs)
 
 
-@dataclass(frozen=True, slots=True)
-class ExperimentalDistribution:
+class _Table:
+    """Integer numerators over denominators, read-only once built.
+
+    Equality and hashing use (num, den) only: the floats a subclass derives
+    from them in __init__ take no part.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __reduce__(self):
+        # Rebuild through __init__: pickle and copy would otherwise assign slots.
+        return type(self), (self.num, self.den)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(num={self.num!r}, den={self.den!r})"
+
+
+class ExperimentalDistribution(_Table):
     """P(y_i | do(x_j)) = num[j-1][i-1] / den[j-1]; every row sums to 1."""
 
+    __slots__ = ("p",)
     num: tuple[tuple[int, ...], ...]
     den: tuple[int, ...]
-    p: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    p: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "p", tuple(tuple(c / d for c in row) for row, d in zip(self.num, self.den))
-        )
+    def __init__(self, num, den):
+        init = object.__setattr__
+        init(self, "num", num)
+        init(self, "den", den)
+        init(self, "p", tuple(tuple(c / d for c in row) for row, d in zip(num, den)))
 
     def p_do(self, j: int, i: int) -> float:
         return self.p[j - 1][i - 1]
@@ -126,21 +159,23 @@ class ExperimentalDistribution:
         return tuple(tuple(Fraction(c, d) for c in row) for row, d in zip(self.num, self.den))
 
 
-@dataclass(frozen=True, slots=True)
-class ObservationalDistribution:
+class ObservationalDistribution(_Table):
     """Joint P(x_j, y_i) = num[j-1][i-1] / den, summing to 1, with its marginals."""
 
+    __slots__ = ("p", "px", "py")
     num: tuple[tuple[int, ...], ...]
     den: int
-    p: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
-    px: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    py: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    p: tuple[tuple[float, ...], ...]
+    px: tuple[float, ...]
+    py: tuple[float, ...]
 
-    def __post_init__(self):
-        d = self.den
-        object.__setattr__(self, "p", tuple(tuple(c / d for c in row) for row in self.num))
-        object.__setattr__(self, "px", tuple(sum(row) / d for row in self.num))
-        object.__setattr__(self, "py", tuple(sum(col) / d for col in zip(*self.num)))
+    def __init__(self, num, den):
+        init = object.__setattr__
+        init(self, "num", num)
+        init(self, "den", den)
+        init(self, "p", tuple(tuple(c / den for c in row) for row in num))
+        init(self, "px", tuple(sum(row) / den for row in num))
+        init(self, "py", tuple(sum(col) / den for col in zip(*num)))
 
     def p_joint(self, j: int, i: int) -> float:
         return self.p[j - 1][i - 1]
@@ -165,8 +200,7 @@ class ObservationalDistribution:
         return tuple(tuple(Fraction(c, self.den) for c in row) for row in self.num)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     """A pair of experimental and observational distributions plus its report."""
 
     space: ProblemSpace

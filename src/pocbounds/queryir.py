@@ -18,7 +18,7 @@ evidence present. Counterfactual terms may only appear left of the bar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ProblemSpace
 
@@ -41,31 +41,38 @@ class UnsupportedQuery(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class CounterfactualTerm:
-    """The event: Y would be y_{outcome} had X been x_{treatment}."""
+class CounterfactualTerm(NamedTuple):
+    """The event: Y would be y_{outcome} had X been x_{treatment}.
+
+    Terms sort by (treatment, outcome).
+    """
 
     treatment: int
     outcome: int
 
 
-@dataclass(frozen=True)
-class Query:
+class _QueryFields(NamedTuple):
     terms: tuple[CounterfactualTerm, ...]
     evidence_x: int | None = None
     evidence_y: int | None = None
     conditional: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+
+class Query(_QueryFields):
+    """A conjunction of counterfactual terms, with optional observed evidence."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms, evidence_x=None, evidence_y=None, conditional=False):
+        terms = tuple(terms)
+        if not terms:
             raise UnsupportedQuery("a query needs at least one counterfactual term")
-        if self.conditional and self.evidence_x is None and self.evidence_y is None:
+        if conditional and evidence_x is None and evidence_y is None:
             raise UnsupportedQuery("conditional queries need observed evidence")
+        return super().__new__(cls, terms, evidence_x, evidence_y, conditional)
 
 
-@dataclass(frozen=True)
-class CanonicalQuery:
+class CanonicalQuery(NamedTuple):
     """Normal form the engine dispatches on.
 
     kind "zero": the event is impossible. kind "exact": the event reduced to

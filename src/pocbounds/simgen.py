@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import bound
 from .frechet import Interval
@@ -30,8 +30,7 @@ CSV_HEADER = ["sample_id", "lower", "upper", "midpoint", "real_value", "gap", "c
 MAX_REDRAWS = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class SimulationRecord:
+class SimulationRecord(NamedTuple):
     fractions: tuple[float, ...]
     dataset: Dataset
     interval: Interval
@@ -50,8 +49,7 @@ class SimulationRecord:
         return self.interval.contains(self.real_value)
 
 
-@dataclass(frozen=True, slots=True)
-class SimulationSummary:
+class SimulationSummary(NamedTuple):
     num_samples: int
     average_gap: float
     containment_rate: float

@@ -242,29 +242,45 @@ class TestErrorPaths:
         assert code == 1
         assert "oracle error" in capsys.readouterr().err
 
-    def test_engine_infeasible_interval_not_blamed_on_oracle(self, tmp_path, capsys):
-        # The consistency gap, 5e-7, is inside the 1e-6 slack that probability
-        # tables validate with, so --strict lets it through; the engine's own
-        # 1e-9 check then fails, and the report must name the data, not the oracle.
-        doc = {
-            "treatments": ["x1", "x2"],
-            "outcomes": ["y1", "y2"],
-            "experimental_probs": [[0.3, 0.7], [0.5, 0.5]],
-            "observational_probs": [[0.3000005, 0.1999995], [0.2, 0.3]],
-        }
+    # The consistency gap, 5e-7, is inside the 1e-6 slack that probability
+    # tables validate with, so --strict lets it through; the engine's own
+    # 1e-9 check then fails.
+    NEAR_INCONSISTENT = {
+        "treatments": ["x1", "x2"],
+        "outcomes": ["y1", "y2"],
+        "experimental_probs": [[0.3, 0.7], [0.5, 0.5]],
+        "observational_probs": [[0.3000005, 0.1999995], [0.2, 0.3]],
+    }
+
+    def _bound_near_inconsistent(self, tmp_path, capsys, *flags):
         path = tmp_path / "near.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        code = main(["bound", "--data", str(path), "--strict", "--query", "P(y1_x1, y2_x2)"])
+        path.write_text(json.dumps(self.NEAR_INCONSISTENT), encoding="utf-8")
+        code = main(["bound", "--data", str(path), *flags, "--query", "P(y1_x1, y2_x2)"])
+        return code, capsys.readouterr().err
+
+    def test_engine_infeasible_interval_not_blamed_on_oracle(self, tmp_path, capsys):
+        # The report must name the data, not the oracle.
+        code, err = self._bound_near_inconsistent(tmp_path, capsys, "--strict")
         assert code == 1
-        err = capsys.readouterr().err
         assert err.startswith("inconsistent data: infeasible interval:")
         assert "oracle" not in err
 
+    def test_engine_infeasible_interval_names_the_node(self, tmp_path, capsys):
+        code, err = self._bound_near_inconsistent(tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("inconsistent data: infeasible interval:")
+        assert err.rstrip().endswith("at node P(y1_x1, x2, y2)")
+
 
 def test_cli_import_loads_no_numpy():
+    # Each CLI process pays for its imports; dataclasses also pulls in
+    # inspect, dis, ast and tokenize, and generates code for every class.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    code = "import sys, pocbounds.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys, pocbounds.cli; "
+        "print([m for m in ('numpy', 'dataclasses') if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
