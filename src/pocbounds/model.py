@@ -83,6 +83,11 @@ class ProblemSpace(_ProblemSpaceFields):
                 raise DataError(f"{axis} labels must be unique")
         return super().__new__(cls, m, n, treatment_labels, outcome_labels)
 
+    @classmethod
+    def _make(cls, iterable):
+        # Through __new__, so that _replace validates too.
+        return cls(*iterable)
+
 
 class Violation(NamedTuple):
     """One failed check; j/i are 0 when the check is not cell-specific."""

@@ -71,6 +71,11 @@ class Query(_QueryFields):
             raise UnsupportedQuery("conditional queries need observed evidence")
         return super().__new__(cls, terms, evidence_x, evidence_y, conditional)
 
+    @classmethod
+    def _make(cls, iterable):
+        # Through __new__, so that _replace validates too.
+        return cls(*iterable)
+
 
 class CanonicalQuery(NamedTuple):
     """Normal form the engine dispatches on.

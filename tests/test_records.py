@@ -126,6 +126,21 @@ def test_query_validates_its_arguments():
     assert q == Query((T(2, 1), T(1, 1)), None, 2, True)
 
 
+def test_replace_validates():
+    q = Query(terms=(T(1, 1),), evidence_x=2, conditional=True)
+    assert q._replace(evidence_x=3) == Query((T(1, 1),), 3, None, True)
+    with pytest.raises(UnsupportedQuery):
+        q._replace(evidence_x=None)
+    with pytest.raises(UnsupportedQuery):
+        q._replace(terms=())
+    space = ProblemSpace(2, 3)
+    assert space._replace(n=4) == ProblemSpace(2, 4)
+    with pytest.raises(DataError):
+        space._replace(m=1)
+    with pytest.raises(DataError):
+        space._replace(outcome_labels=("a", "a", "b"))
+
+
 def test_problem_space_validates_its_arguments():
     for args, kwargs in [
         ((1, 3), {}),
