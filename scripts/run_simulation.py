@@ -6,32 +6,22 @@ containment rate, and a small gap histogram to eyeball the distribution.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from pocbounds.simgen import run_simulation, write_csv
 
 
-@dataclass
-class Config:
-    samples: int = 1000
-    seed: int = 0
-    out: str | None = None
-    bins: int = 10
-
-
-def parse_args() -> Config:
+def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", help="CSV path for per-sample rows")
     ap.add_argument("--bins", type=int, default=10, help="histogram bins")
-    ns = ap.parse_args()
-    return Config(samples=ns.samples, seed=ns.seed, out=ns.out, bins=ns.bins)
+    return ap.parse_args()
 
 
 def main() -> int:
-    cfg = parse_args()
-    summary = run_simulation(cfg.samples, seed=cfg.seed)
+    args = parse_args()
+    summary = run_simulation(args.samples, seed=args.seed)
 
     gaps = sorted(r.gap for r in summary.records)
     mean = summary.average_gap
@@ -39,22 +29,22 @@ def main() -> int:
     se = (var / len(gaps)) ** 0.5
 
     print(f"samples:          {summary.num_samples}")
-    print(f"seed:             {cfg.seed}")
+    print(f"seed:             {args.seed}")
     print(f"average gap:      {mean:.6f} (se {se:.6f})")
     print(f"median gap:       {gaps[len(gaps) // 2]:.6f}")
     print(f"containment rate: {summary.containment_rate:.4f}")
 
     print("gap histogram:")
-    width = 1.0 / cfg.bins
-    for b in range(cfg.bins):
+    width = 1.0 / args.bins
+    for b in range(args.bins):
         lo, hi = b * width, (b + 1) * width
-        count = sum(1 for g in gaps if lo <= g < hi or (b == cfg.bins - 1 and g == hi))
+        count = sum(1 for g in gaps if lo <= g < hi or (b == args.bins - 1 and g == hi))
         bar = "#" * round(60 * count / len(gaps))
         print(f"  [{lo:.2f}, {hi:.2f}) {count:5d} {bar}")
 
-    if cfg.out:
-        write_csv(summary, cfg.out)
-        print(f"wrote {summary.num_samples} rows to {cfg.out}")
+    if args.out:
+        write_csv(summary, args.out)
+        print(f"wrote {summary.num_samples} rows to {args.out}")
     return 0
 
 

@@ -21,13 +21,8 @@ from pocbounds.queryir import CounterfactualTerm, Query, format_query
 
 SIZES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 VARIANTS = ["plain", "x", "y", "xy"]
-
-
-@dataclass
-class Config:
-    cases: int = 400
-    seed: int = 0
-    tight_eps: float = 1e-9
+# An engine end within this of the LP end counts as tight.
+TIGHT_EPS = 1e-9
 
 
 @dataclass
@@ -66,23 +61,22 @@ def random_query(rng: random.Random, m: int, n: int, variant: str) -> Query:
     return Query(terms=terms, **kwargs)
 
 
-def parse_args() -> Config:
+def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=400)
     ap.add_argument("--seed", type=int, default=0)
-    ns = ap.parse_args()
-    return Config(cases=ns.cases, seed=ns.seed)
+    return ap.parse_args()
 
 
 def main() -> int:
-    cfg = parse_args()
-    rng = random.Random(cfg.seed)
+    args = parse_args()
+    rng = random.Random(args.seed)
     worst_slack = float("inf")
     worst_case = None
     buckets: dict[str, Bucket] = defaultdict(Bucket)
     start = time.perf_counter()
 
-    for idx in range(cfg.cases):
+    for idx in range(args.cases):
         m, n = SIZES[idx % len(SIZES)]
         variant = VARIANTS[(idx // len(SIZES)) % len(VARIANTS)]
         ds = random_dataset(rng, m, n)
@@ -96,12 +90,12 @@ def main() -> int:
         key = f"{m}x{n} k={len(q.terms)} {variant}"
         b = buckets[key]
         b.cases += 1
-        b.tight += int(abs(eng.lo - lp.lo) <= cfg.tight_eps and abs(eng.hi - lp.hi) <= cfg.tight_eps)
+        b.tight += int(abs(eng.lo - lp.lo) <= TIGHT_EPS and abs(eng.hi - lp.hi) <= TIGHT_EPS)
         b.engine_width += eng.width
         b.lp_width += lp.width
 
     elapsed = time.perf_counter() - start
-    print(f"cases:       {cfg.cases} (seed {cfg.seed}, {elapsed:.1f}s)")
+    print(f"cases:       {args.cases} (seed {args.seed}, {elapsed:.1f}s)")
     print(f"worst slack: {worst_slack:.3e}  (negative would mean the LP escaped)")
     if worst_case:
         m, n, q = worst_case

@@ -30,7 +30,6 @@ from .model import (
     dataset_from_json,
     dataset_from_probs,
     load_dataset,
-    validate,
 )
 from .queryir import (
     CanonicalQuery,
@@ -109,7 +108,6 @@ __all__ = [
     "run_simulation",
     "tian_pearl",
     "tight_bounds",
-    "validate",
     "validate_indices",
     "write_csv",
 ]

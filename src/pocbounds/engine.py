@@ -5,8 +5,8 @@ four closed forms for a single counterfactual term (joint with an observed
 outcome, an observed treatment, or both) and four recursive forms for
 conjunctions of terms. Every theorem is a max over lower-bound candidates
 against a min over upper-bound candidates; the recursion consumes the final
-clamped bounds of its subqueries and is memoized per call on the canonical
-subquery key.
+clamped bounds of its subqueries, each evaluated once per call and cached on
+its canonical key, so `stats_evaluated` is the number of distinct subqueries.
 
 Traces record every candidate value before clamping (lower-bound branches go
 negative routinely), which branch won, and the child subquery traces.
@@ -69,8 +69,10 @@ from .queryir import (
     validate_indices,
 )
 
-# Distinct subqueries grow like 2^(k+2); keep k sane by default.
-DEFAULT_MAX_TERMS = 8
+# Without leave-one-out pruning the distinct subqueries of a k-term query grow
+# like 2^(k+2); with it an 8-term query on an 8x4 table visits 65. The limit
+# guards the unpruned worst case.
+MAX_TERMS = 8
 
 
 class ZeroEvidenceProbability(ValueError):
@@ -124,22 +126,16 @@ class BoundResult(NamedTuple):
 class _Evaluator:
     """Joint-event recursion over (terms, evidence_x, evidence_y) keys."""
 
-    def __init__(self, dataset: Dataset, memoize: bool = True):
+    def __init__(self, dataset: Dataset):
         self.ds = dataset
-        self.memo: dict | None = {} if memoize else None
-        self.seen: set = set()
+        self.memo: dict = {}
 
     def eval(self, terms, ex, ey) -> tuple[Interval, BoundTrace]:
         key = (terms, ex, ey)
-        if self.memo is not None:
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-        self.seen.add(key)
-        result = self._dispatch(terms, ex, ey)
-        if self.memo is not None:
-            self.memo[key] = result
-        return result
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = self._dispatch(terms, ex, ey)
+        return hit
 
     def _dispatch(self, terms, ex, ey):
         if len(terms) == 1:
@@ -367,13 +363,7 @@ def _divide_by_evidence(dataset: Dataset, interval: Interval, cq: CanonicalQuery
     return interval.scaled_by(divisor)
 
 
-def bound(
-    dataset: Dataset,
-    query: Query | str,
-    *,
-    memoize: bool = True,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> BoundResult:
+def bound(dataset: Dataset, query: Query | str) -> BoundResult:
     """Bound a probability of causation on a dataset.
 
     Accepts a query object or query text. Zero queries give [0, 0]; queries
@@ -424,16 +414,16 @@ def bound(
         )
         return BoundResult(interval, trace, 1)
 
-    if len(cq.terms) > max_terms:
+    if len(cq.terms) > MAX_TERMS:
         raise UnsupportedQuery(
-            f"{len(cq.terms)} counterfactual terms exceed the limit of {max_terms}; "
-            "the recursion grows like 2^(k+2)"
+            f"{len(cq.terms)} counterfactual terms exceed the limit of {MAX_TERMS}; "
+            "unpruned, the recursion grows like 2^(k+2)"
         )
-    evaluator = _Evaluator(dataset, memoize=memoize)
+    evaluator = _Evaluator(dataset)
     interval, trace = evaluator.eval(cq.terms, cq.evidence_x, cq.evidence_y)
     if cq.conditional:
         interval = _divide_by_evidence(dataset, interval, cq)
-    return BoundResult(interval, trace, len(evaluator.seen))
+    return BoundResult(interval, trace, len(evaluator.memo))
 
 
 def tian_pearl(dataset: Dataset, kind: str) -> Interval:

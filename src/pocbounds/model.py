@@ -29,12 +29,13 @@ from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-# Ingested counts are exact, so their sums must be exact; hand-typed
-# probability files get slack.
-EPS_SUM_COUNTS = 1e-9
-EPS_SUM_PROBS = 1e-6
-EPS_CONS_COUNTS = 1e-9
-EPS_CONS_PROBS = 1e-6
+# Tolerance of the sum and consistency checks. Ingested counts are exact, so
+# their sums must be exact; hand-typed probability files get slack. That slack
+# is wider than the engine's EPS_NUM (1e-9): a probability table that passes
+# with a consistency violation inside 1e-6 can still make the engine's bounds
+# cross and raise InfeasibleInterval.
+EPS_COUNTS = 1e-9
+EPS_PROBS = 1e-6
 
 # Denominator cap when recovering rationals from user-supplied floats.
 _FLOAT_DENOMINATOR_LIMIT = 10**9
@@ -153,15 +154,8 @@ class ExperimentalDistribution(_Table):
         init(self, "den", den)
         init(self, "p", tuple(tuple(c / d for c in row) for row, d in zip(num, den)))
 
-    def p_do(self, j: int, i: int) -> float:
-        return self.p[j - 1][i - 1]
-
     def exact_do(self, j: int, i: int) -> Fraction:
         return Fraction(self.num[j - 1][i - 1], self.den[j - 1])
-
-    @property
-    def exact(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(c, d) for c in row) for row, d in zip(self.num, self.den))
 
 
 class ObservationalDistribution(_Table):
@@ -182,15 +176,6 @@ class ObservationalDistribution(_Table):
         init(self, "px", tuple(sum(row) / den for row in num))
         init(self, "py", tuple(sum(col) / den for col in zip(*num)))
 
-    def p_joint(self, j: int, i: int) -> float:
-        return self.p[j - 1][i - 1]
-
-    def p_x(self, j: int) -> float:
-        return self.px[j - 1]
-
-    def p_y(self, i: int) -> float:
-        return self.py[i - 1]
-
     def exact_joint(self, j: int, i: int) -> Fraction:
         return Fraction(self.num[j - 1][i - 1], self.den)
 
@@ -200,10 +185,6 @@ class ObservationalDistribution(_Table):
     def exact_y(self, i: int) -> Fraction:
         return Fraction(sum(row[i - 1] for row in self.num), self.den)
 
-    @property
-    def exact(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(c, self.den) for c in row) for row in self.num)
-
 
 class Dataset(NamedTuple):
     """A pair of experimental and observational distributions plus its report."""
@@ -212,7 +193,6 @@ class Dataset(NamedTuple):
     exp: ExperimentalDistribution
     obs: ObservationalDistribution
     validation: ValidationReport
-    eps_cons: float = EPS_CONS_COUNTS
 
     # Accessor shorthands; the engine reads these in every formula.
     def p_do(self, j: int, i: int) -> float:
@@ -264,7 +244,7 @@ def _check_probs(probs: Sequence[Sequence], what: str):
         for i, v in enumerate(row, start=1):
             if isinstance(v, bool) or not isinstance(v, Real):
                 raise DataError(f"{what} must be numbers, got {v!r} at (x{j}, y{i})")
-            if not (-EPS_SUM_PROBS <= v <= 1.0 + EPS_SUM_PROBS):
+            if not (-EPS_PROBS <= v <= 1.0 + EPS_PROBS):
                 raise DataError(f"{what} must lie in [0,1], got {v!r} at (x{j}, y{i})")
 
 
@@ -337,7 +317,7 @@ def _exp_from_probs(probs) -> ExperimentalDistribution:
     for j, row in enumerate(probs, start=1):
         ints, scale = _scaled(row)
         total = sum(ints)
-        if abs(total / scale - 1.0) > EPS_SUM_PROBS:
+        if abs(total / scale - 1.0) > EPS_PROBS:
             raise DataError(f"experimental row for x{j} sums to {total / scale}, expected 1")
         # Renormalize exactly so downstream equality constraints are feasible.
         num.append(tuple(ints))
@@ -349,76 +329,44 @@ def _obs_from_probs(probs) -> ObservationalDistribution:
     n = len(probs[0])
     ints, scale = _scaled([v for row in probs for v in row])
     grand = sum(ints)
-    if abs(grand / scale - 1.0) > EPS_SUM_PROBS:
+    if abs(grand / scale - 1.0) > EPS_PROBS:
         raise DataError(f"observational table sums to {grand / scale}, expected 1")
     num = tuple(tuple(ints[k : k + n]) for k in range(0, len(ints), n))
     return ObservationalDistribution(num, grand)
 
 
 def _build_report(
-    exp: ExperimentalDistribution,
-    obs: ObservationalDistribution,
-    eps_sum: float,
-    eps_cons: float,
+    exp: ExperimentalDistribution, obs: ObservationalDistribution, eps: float
 ) -> ValidationReport:
     violations: list[Violation] = []
     for j, (row, den) in enumerate(zip(exp.num, exp.den), start=1):
         row_sum = sum(row) / den
-        if abs(row_sum - 1.0) > eps_sum:
+        if abs(row_sum - 1.0) > eps:
             violations.append(Violation(j, 0, "rowSum", abs(row_sum - 1.0)))
     total = sum(map(sum, obs.num)) / obs.den
-    if abs(total - 1.0) > eps_sum:
+    if abs(total - 1.0) > eps:
         violations.append(Violation(0, 0, "totalSum", abs(total - 1.0)))
     for j, (do_row, xy_row, p_x) in enumerate(zip(exp.p, obs.p, obs.px), start=1):
         for i, (p_do, p_xy) in enumerate(zip(do_row, xy_row), start=1):
             # Consistency: P(x_j, y_i) <= P(y_i | do(x_j)) <= P(x_j, y_i) + 1 - P(x_j)
-            if p_xy - p_do > eps_cons:
+            if p_xy - p_do > eps:
                 violations.append(Violation(j, i, "lower", p_xy - p_do))
-            if p_do - (p_xy + 1.0 - p_x) > eps_cons:
+            if p_do - (p_xy + 1.0 - p_x) > eps:
                 violations.append(Violation(j, i, "upper", p_do - (p_xy + 1.0 - p_x)))
     return ValidationReport.from_violations(violations)
-
-
-def validate(dataset: Dataset, eps_cons: float | None = None) -> ValidationReport:
-    """Re-check sum and consistency constraints; report-only, never raises."""
-    eps = dataset.eps_cons if eps_cons is None else eps_cons
-    return _build_report(dataset.exp, dataset.obs, eps_sum=eps, eps_cons=eps)
 
 
 def _assemble(
     exp: ExperimentalDistribution,
     obs: ObservationalDistribution,
     space: ProblemSpace,
-    eps_sum: float,
-    eps_cons: float,
+    eps: float,
 ) -> Dataset:
-    return Dataset(
-        space=space,
-        exp=exp,
-        obs=obs,
-        validation=_build_report(exp, obs, eps_sum=eps_sum, eps_cons=eps_cons),
-        eps_cons=eps_cons,
-    )
-
-
-def _make_space(m, n, space, treatment_labels, outcome_labels) -> ProblemSpace:
-    if space is not None:
-        return space
-    return ProblemSpace(
-        m,
-        n,
-        tuple(treatment_labels) if treatment_labels else None,
-        tuple(outcome_labels) if outcome_labels else None,
-    )
+    return Dataset(space, exp, obs, _build_report(exp, obs, eps))
 
 
 def dataset_from_counts(
-    exp_counts: Sequence[Sequence[int]],
-    obs_counts: Sequence[Sequence[int]],
-    space: ProblemSpace | None = None,
-    *,
-    treatment_labels: Sequence[str] | None = None,
-    outcome_labels: Sequence[str] | None = None,
+    exp_counts: Sequence[Sequence[int]], obs_counts: Sequence[Sequence[int]]
 ) -> Dataset:
     """Build a Dataset from two count tables.
 
@@ -427,8 +375,8 @@ def dataset_from_counts(
     converted to float once, so count tables reproduce to full precision
     regardless of parse order.
     """
-    m, n = _check_shape(exp_counts, space, "experimental counts")
-    m2, n2 = _check_shape(obs_counts, space, "observational counts")
+    m, n = _check_shape(exp_counts, None, "experimental counts")
+    m2, n2 = _check_shape(obs_counts, None, "observational counts")
     if (m, n) != (m2, n2):
         raise ShapeMismatch(f"experimental {m}x{n} vs observational {m2}x{n2}")
     _check_counts(exp_counts, "experimental counts")
@@ -436,28 +384,22 @@ def dataset_from_counts(
     return _assemble(
         _exp_from_counts(exp_counts),
         _obs_from_counts(obs_counts),
-        _make_space(m, n, space, treatment_labels, outcome_labels),
-        EPS_SUM_COUNTS,
-        EPS_CONS_COUNTS,
+        ProblemSpace(m, n),
+        EPS_COUNTS,
     )
 
 
 def dataset_from_probs(
-    exp_probs: Sequence[Sequence[float]],
-    obs_probs: Sequence[Sequence[float]],
-    space: ProblemSpace | None = None,
-    *,
-    treatment_labels: Sequence[str] | None = None,
-    outcome_labels: Sequence[str] | None = None,
+    exp_probs: Sequence[Sequence[float]], obs_probs: Sequence[Sequence[float]]
 ) -> Dataset:
     """Build a Dataset from probability tables (hand-typed tolerance).
 
     Each value is lifted to a rational and the rows/total renormalized
     exactly, so the sum constraints hold with equality downstream; tables off
-    by more than EPS_SUM_PROBS are rejected instead.
+    by more than EPS_PROBS are rejected instead.
     """
-    m, n = _check_shape(exp_probs, space, "experimental probs")
-    m2, n2 = _check_shape(obs_probs, space, "observational probs")
+    m, n = _check_shape(exp_probs, None, "experimental probs")
+    m2, n2 = _check_shape(obs_probs, None, "observational probs")
     if (m, n) != (m2, n2):
         raise ShapeMismatch(f"experimental {m}x{n} vs observational {m2}x{n2}")
     _check_probs(exp_probs, "experimental probabilities")
@@ -465,9 +407,8 @@ def dataset_from_probs(
     return _assemble(
         _exp_from_probs(exp_probs),
         _obs_from_probs(obs_probs),
-        _make_space(m, n, space, treatment_labels, outcome_labels),
-        EPS_SUM_PROBS,
-        EPS_CONS_PROBS,
+        ProblemSpace(m, n),
+        EPS_PROBS,
     )
 
 
@@ -513,13 +454,7 @@ def dataset_from_json(doc: dict) -> Dataset:
         _check_probs(obs_val, "observational probabilities")
         obs = _obs_from_probs(obs_val)
     all_counts = exp_is_counts and obs_is_counts
-    return _assemble(
-        exp,
-        obs,
-        space,
-        EPS_SUM_COUNTS if all_counts else EPS_SUM_PROBS,
-        EPS_CONS_COUNTS if all_counts else EPS_CONS_PROBS,
-    )
+    return _assemble(exp, obs, space, EPS_COUNTS if all_counts else EPS_PROBS)
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -37,7 +37,7 @@ from .queryir import (
     parse_query,
     validate_indices,
 )
-from .engine import ZeroEvidenceProbability
+from .engine import ZeroEvidenceProbability, _evidence_label
 
 _MAX_PIVOTS = 50_000
 # Dantzig pivoting is fast but can cycle; fall back to Bland's rule, which
@@ -273,14 +273,6 @@ def _exact_divisor(dataset: Dataset, ex, ey) -> Fraction:
     return dataset.obs.exact_y(ey)
 
 
-def _divisor_label(ex, ey) -> str:
-    if ex is not None and ey is not None:
-        return f"P(x{ex},y{ey})"
-    if ex is not None:
-        return f"P(x{ex})"
-    return f"P(y{ey})"
-
-
 def _exact_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fraction]:
     """Tight (min, max) in exact arithmetic; conditional queries are divided
     by the exact evidence probability, mirroring the engine's conditioning rule.
@@ -301,7 +293,7 @@ def _exact_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fract
     if cq.conditional:
         divisor = _exact_divisor(dataset, cq.divisor_x, cq.divisor_y)
         if divisor == 0:
-            raise ZeroEvidenceProbability(_divisor_label(cq.divisor_x, cq.divisor_y), 0.0)
+            raise ZeroEvidenceProbability(_evidence_label(cq.divisor_x, cq.divisor_y), 0.0)
         vmin, vmax = vmin / divisor, vmax / divisor
     return vmin, vmax
 

@@ -176,10 +176,6 @@ def parse_query(text: str, space: ProblemSpace) -> Query:
         raise UnsupportedQuery("at most one bare treatment event is allowed")
     if len(bare_y) > 1:
         raise UnsupportedQuery("at most one bare outcome event is allowed")
-    if not terms:
-        raise UnsupportedQuery("a query needs at least one counterfactual term")
-    if seen_bar and not bare_x and not bare_y:
-        raise UnsupportedQuery("conditional queries need observed evidence")
     return Query(
         terms=tuple(terms),
         evidence_x=bare_x[0] if bare_x else None,

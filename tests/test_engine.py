@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pocbounds.engine import (
+    MAX_TERMS,
     BoundResult,
     BoundTrace,
     NotBinary,
@@ -189,21 +190,12 @@ class TestDegenerateKinds:
 
 
 class TestEvaluatorControls:
-    def test_term_budget(self, treatment):
-        q = Query(terms=(
-            CounterfactualTerm(1, 3),
-            CounterfactualTerm(2, 1),
-            CounterfactualTerm(3, 2),
-        ))
-        with pytest.raises(UnsupportedQuery):
-            bound(treatment, q, max_terms=2)
-        bound(treatment, q, max_terms=3)  # at the limit is fine
-
-    def test_memoization_transparent(self, treatment):
-        memo = bound(treatment, "P(y3_x1, y1_x2, y2_x3)", memoize=True)
-        plain = bound(treatment, "P(y3_x1, y1_x2, y2_x3)", memoize=False)
-        assert memo.interval == plain.interval
-        assert memo.stats_evaluated == plain.stats_evaluated
+    def test_term_budget(self):
+        m = MAX_TERMS + 1
+        ds = dataset_from_counts([[1, 1]] * m, [[1, 1]] * m)
+        q = Query(terms=tuple(CounterfactualTerm(j, 1) for j in range(1, m + 1)))
+        with pytest.raises(UnsupportedQuery, match=f"limit of {MAX_TERMS}"):
+            bound(ds, q)
 
     def test_wide_query_prunes_leave_one_out_recursion(self):
         # Consistent 8x4 counts: each experimental row is the observed row

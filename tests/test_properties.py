@@ -79,19 +79,6 @@ class TestEngineInvariants:
         a, b = bound(ds, q).interval, bound(ds, q2).interval
         assert (a.lo, a.hi) == (b.lo, b.hi)
 
-    @settings(max_examples=40, deadline=None)
-    @given(case=mass_cases(sizes=((3, 3),)), data=st.data())
-    def test_memoization_invisible(self, case, data):
-        m, n, ds = case
-        q = data.draw(queries(m, n))
-        with_memo = bound(ds, q, memoize=True)
-        without = bound(ds, q, memoize=False)
-        assert (with_memo.interval.lo, with_memo.interval.hi) == (
-            without.interval.lo,
-            without.interval.hi,
-        )
-        assert with_memo.stats_evaluated == without.stats_evaluated
-
     @settings(max_examples=60, deadline=None)
     @given(case=mass_cases(), data=st.data())
     def test_conditioning_rescales_the_joint(self, case, data):
