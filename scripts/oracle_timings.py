@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time `tight_bounds` (both exact solves) on the cases of README's oracle table.
+"""Time `tight_bounds` (the exact closed form) on the cases of README's oracle table.
 
 Bundled fixtures: median of 3 calls of one published query. Random spaces
 (tables from response-type masses, as in validate_against_oracle.py): the
@@ -73,10 +73,10 @@ def main() -> int:
     results["300 random queries, m, n <= 3, k <= 3 (total)"] = total
 
     for key, ms in results.items():
-        print(f"{key:45s} {ms:10.1f} ms")
+        print(f"{key:45s} {ms:10.3f} ms")
     if ns.json:
         with open(ns.json, "w", encoding="utf-8") as fh:
-            json.dump({k: round(v, 2) for k, v in results.items()}, fh, indent=2)
+            json.dump({k: round(v, 3) for k, v in results.items()}, fh, indent=2)
     return 0
 
 

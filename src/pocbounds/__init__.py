@@ -3,7 +3,7 @@
 Derive lower/upper bounds for conjunctions of counterfactual statements
 Y_{x_j} = y_i, optionally joint with or conditioned on observed events, from
 experimental P(y_i | do(x_j)) and observational P(x_j, y_i) tables. An exact
-LP over treatment arms serves as the tightness oracle, and a seeded
+closed form over treatment arms serves as the tightness oracle, and a seeded
 simulation study measures bound quality on random models.
 """
 
@@ -51,7 +51,7 @@ from .engine import (
     bound,
     tian_pearl,
 )
-from .oracle import Infeasible, dump_lp, feasible, tight_bounds
+from .oracle import Infeasible, feasible, tight_bounds
 from .simgen import (
     SimulationRecord,
     SimulationSummary,
@@ -95,7 +95,6 @@ __all__ = [
     "dataset_from_counts",
     "dataset_from_json",
     "dataset_from_probs",
-    "dump_lp",
     "export_csv",
     "feasible",
     "format_query",

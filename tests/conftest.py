@@ -13,7 +13,7 @@ import random
 import pytest
 
 from pocbounds.model import Dataset, dataset_from_counts
-from pocbounds.queryir import CounterfactualTerm, Query
+from pocbounds.queryir import CounterfactualTerm, Query, canonicalize
 
 TREATMENT_EXP = [[80, 7, 213], [184, 29, 87], [87, 189, 24]]
 TREATMENT_OBS = [[238, 20, 7], [10, 77, 259], [147, 72, 70]]
@@ -86,3 +86,29 @@ def random_query(rng: random.Random, m: int, n: int, kmax: int = 3, variant=None
     if variant in ("y", "xy"):
         kwargs["evidence_y"] = rng.randrange(1, n + 1)
     return Query(terms=terms, **kwargs)
+
+
+FORMS = ("plain", "x", "y", "xy", "conditional")
+
+
+def draw_query(rng: random.Random, m: int, n: int, form: str) -> Query:
+    """Terms may repeat a treatment, clash on one (ZERO), or sit on the
+    evidence treatment (absorbed; EXACT when every term does)."""
+    evidence = {"plain": "", "x": "x", "y": "y", "xy": "xy"}.get(form)
+    if evidence is None:
+        evidence = rng.choice(["x", "y", "xy"])
+    ex = rng.randrange(1, m + 1) if "x" in evidence else None
+    ey = rng.randrange(1, n + 1) if "y" in evidence else None
+    terms = []
+    for _ in range(rng.randrange(1, m + 2)):
+        j = ex if ex is not None and rng.random() < 0.4 else rng.randrange(1, m + 1)
+        terms.append(CounterfactualTerm(j, rng.randrange(1, n + 1)))
+    return Query(tuple(terms), evidence_x=ex, evidence_y=ey, conditional=form == "conditional")
+
+
+def draw_kind(rng, m, n, form, kind):
+    for _ in range(1000):
+        query = draw_query(rng, m, n, form)
+        if canonicalize(query).kind == kind:
+            return query
+    raise AssertionError(f"no {kind} query drawn in form {form}")

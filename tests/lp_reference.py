@@ -6,7 +6,7 @@ observed treatment x_j, so both data sources become linear equality
 constraints and any conjunctive query event is a 0/1 objective. It has
 n^m * m columns, so it is only posed up to the 81 columns of a 3x3 space
 (which admits the 4x2 and 2x4 fixtures too), where it checks the
-arm-decomposition LP of `pocbounds.oracle` exactly.
+closed form of `pocbounds.oracle` exactly.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ import itertools
 from fractions import Fraction
 
 from pocbounds.model import Dataset
-from pocbounds.oracle import Infeasible, _solve_min_exact
+from pocbounds.oracle import Infeasible
 from pocbounds.queryir import ZERO, CanonicalQuery
+
+from arm_lp_reference import _solve_min_exact
 
 MAX_COLUMNS = 3**3 * 3
 
@@ -99,14 +101,18 @@ def reference_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fr
         assert (status_lo, status_hi) == ("optimal", "optimal")
         vmax = -neg_vmax
     if cq.conditional:
-        if cq.divisor_x is not None and cq.divisor_y is not None:
-            divisor = dataset.obs.exact_joint(cq.divisor_x, cq.divisor_y)
-        elif cq.divisor_x is not None:
-            divisor = dataset.obs.exact_x(cq.divisor_x)
-        else:
-            divisor = dataset.obs.exact_y(cq.divisor_y)
+        divisor = evidence_divisor(dataset, cq)
         vmin, vmax = vmin / divisor, vmax / divisor
     return vmin, vmax
+
+
+def evidence_divisor(dataset: Dataset, cq: CanonicalQuery) -> Fraction:
+    """The exact probability of a conditional query's evidence."""
+    if cq.divisor_x is not None and cq.divisor_y is not None:
+        return dataset.obs.exact_joint(cq.divisor_x, cq.divisor_y)
+    if cq.divisor_x is not None:
+        return dataset.obs.exact_x(cq.divisor_x)
+    return dataset.obs.exact_y(cq.divisor_y)
 
 
 def reference_feasible(dataset: Dataset) -> bool:

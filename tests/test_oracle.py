@@ -6,7 +6,7 @@ import pytest
 
 from pocbounds.engine import ZeroEvidenceProbability, bound
 from pocbounds.model import dataset_from_counts, dataset_from_probs
-from pocbounds.oracle import Infeasible, dump_lp, feasible, tight_bounds
+from pocbounds.oracle import Infeasible, feasible, tight_bounds
 from pocbounds.queryir import canonicalize, parse_query
 
 from conftest import counts_from_masses, random_feasible_dataset, random_query
@@ -47,7 +47,7 @@ class TestTightBounds:
                 assert iv.hi == pytest.approx(v, abs=1e-12)
 
     def test_observational_cell_pinned(self, treatment):
-        # term absorbed into evidence; the LP must return the observed cell
+        # term absorbed into evidence; the oracle must return the observed cell
         iv = tight_bounds(treatment, "P(y3_x1, x1)")
         assert iv.lo == iv.hi == pytest.approx(7 / 900, abs=1e-15)
 
@@ -93,7 +93,7 @@ class TestTightBounds:
 
 class TestLargeSpaces:
     def test_five_by_four_space(self):
-        # 4^5 * 5 = 5,120 response-type columns; the arm LP has 80 marginals.
+        # 4^5 * 5 = 5,120 response-type columns; the closed form reads 4 terms.
         m, n = 5, 4
         rng = random.Random(54)
         types = list(itertools.product(range(1, n + 1), repeat=m))
@@ -176,33 +176,3 @@ class TestOracleValidatesEngine:
             assert eng.lo == pytest.approx(lp.lo, abs=1e-9)
             assert eng.hi == pytest.approx(lp.hi, abs=1e-9)
 
-
-class TestDump:
-    def test_plain_text_shape(self):
-        ds = dataset_from_counts([[6, 4], [3, 7]], [[3, 1], [2, 4]])
-        text = dump_lp(ds, "P(y1_x1, y2_x2)")
-        lines = text.splitlines()
-        assert lines[0].startswith("# variables >= 0: r[xj,xc,yi]")
-        # arm x1 observes y1 and needs Y_x2 = y2; arm x2 observes y2 and needs Y_x1 = y1
-        assert "minimize: s[x1] + s[x2]" in lines
-        assert "maximize: u[x1] + u[x2]" in lines
-        assert lines.count("subject to:") == 2
-        # supply rows: P(x1) = 2/5 and P(x2) = 3/5
-        assert "  r[x1,x2,y1] + r[x1,x2,y2] = 3/5" in lines
-        assert "  r[x2,x1,y1] + r[x2,x1,y2] = 2/5" in lines
-        # demand rows: P(y1 | do x1) - P(x1, y1) = 6/10 - 3/10
-        assert "  r[x1,x2,y1] = 3/10" in lines
-        # epigraph rows: s_c >= P(x_c, y_c) + r - P(x_c)
-        assert "  -r[x2,x1,y2] + s[x1] - t[x1] = -1/10" in lines
-        assert "  -r[x1,x2,y1] + s[x2] - t[x2] = -1/5" in lines
-        # hypograph rows: u_c <= each event mass
-        assert "  -r[x2,x1,y2] + u[x1] + w[x1,y2_x2] = 0" in lines
-        assert "  u[x1] + w[x1,y1] = 3/10" in lines
-        # 2 supply + 4 demand + 1 epigraph row per arm; 4 hypograph rows in the max
-        assert len(lines) == 1 + 2 * 2 + (6 + 2) + (6 + 4)
-
-    def test_zero_query_dumps_zero_objective(self, treatment):
-        text = dump_lp(treatment, "P(y1_x1, y2_x1)")
-        assert "minimize: 0" in text
-        assert "maximize: 0" in text
-        assert "s[x" not in text and "u[x" not in text

@@ -1,7 +1,7 @@
-"""The arm-decomposition oracle against the response-type reference LP.
+"""The closed-form oracle against the response-type reference LP.
 
-Both are solved exactly, so their optima must be equal as Fractions, before
-any conversion to float.
+Both are exact, so their optima must be equal as Fractions, before any
+conversion to float.
 """
 
 import random
@@ -12,36 +12,12 @@ from pocbounds.cli import _REPRODUCE_BOUNDS, fixture_path
 from pocbounds.engine import ZeroEvidenceProbability
 from pocbounds.model import dataset_from_counts, load_dataset
 from pocbounds.oracle import Infeasible, _exact_bounds, _to_canonical, feasible
-from pocbounds.queryir import EXACT, STANDARD, ZERO, CounterfactualTerm, Query, canonicalize
+from pocbounds.queryir import EXACT, STANDARD, ZERO, canonicalize
 
-from conftest import counts_from_masses, random_feasible_dataset
+from conftest import FORMS, counts_from_masses, draw_kind, random_feasible_dataset
 from lp_reference import reference_bounds, reference_feasible
 
 SIZES = ((2, 2), (2, 3), (3, 2), (3, 3))
-FORMS = ("plain", "x", "y", "xy", "conditional")
-
-
-def _draw_query(rng: random.Random, m: int, n: int, form: str) -> Query:
-    """Terms may repeat a treatment, clash on one (ZERO), or sit on the
-    evidence treatment (absorbed; EXACT when every term does)."""
-    evidence = {"plain": "", "x": "x", "y": "y", "xy": "xy"}.get(form)
-    if evidence is None:
-        evidence = rng.choice(["x", "y", "xy"])
-    ex = rng.randrange(1, m + 1) if "x" in evidence else None
-    ey = rng.randrange(1, n + 1) if "y" in evidence else None
-    terms = []
-    for _ in range(rng.randrange(1, m + 2)):
-        j = ex if ex is not None and rng.random() < 0.4 else rng.randrange(1, m + 1)
-        terms.append(CounterfactualTerm(j, rng.randrange(1, n + 1)))
-    return Query(tuple(terms), evidence_x=ex, evidence_y=ey, conditional=form == "conditional")
-
-
-def _draw_kind(rng, m, n, form, kind):
-    for _ in range(1000):
-        query = _draw_query(rng, m, n, form)
-        if canonicalize(query).kind == kind:
-            return query
-    raise AssertionError(f"no {kind} query drawn in form {form}")
 
 
 @pytest.mark.parametrize("example", sorted(_REPRODUCE_BOUNDS))
@@ -62,7 +38,7 @@ def test_random_queries_match_reference():
         kind = kinds[(idx // len(FORMS)) % len(kinds)]
         m, n = rng.choice(SIZES)
         ds = random_feasible_dataset(rng, m, n)
-        cq = canonicalize(_draw_kind(rng, m, n, form, kind))
+        cq = canonicalize(draw_kind(rng, m, n, form, kind))
         try:
             got = _exact_bounds(ds, cq)
         except ZeroEvidenceProbability:
@@ -95,7 +71,7 @@ def test_feasibility_matches_reference_on_raw_tables():
         ds = dataset_from_counts(exp, obs)
         ok = feasible(ds)
         assert ok == reference_feasible(ds) == ds.validation.ok
-        cq = canonicalize(_draw_kind(rng, m, n, "plain", STANDARD))
+        cq = canonicalize(draw_kind(rng, m, n, "plain", STANDARD))
         if ok:
             assert _exact_bounds(ds, cq) == reference_bounds(ds, cq), (exp, obs, cq)
         else:
