@@ -7,14 +7,7 @@ closed form over treatment arms serves as the tightness oracle, and a seeded
 simulation study measures bound quality on random models.
 """
 
-from .frechet import (
-    EmptySequence,
-    InfeasibleInterval,
-    Interval,
-    frechet_lower,
-    frechet_upper,
-    make_interval,
-)
+from .frechet import InfeasibleInterval, Interval, make_interval
 from .model import (
     DataError,
     Dataset,
@@ -51,7 +44,7 @@ from .engine import (
     bound,
     tian_pearl,
 )
-from .oracle import Infeasible, feasible, tight_bounds
+from .oracle import Infeasible, tight_bounds
 from .simgen import (
     SimulationRecord,
     SimulationSummary,
@@ -70,7 +63,6 @@ __all__ = [
     "CounterfactualTerm",
     "DataError",
     "Dataset",
-    "EmptySequence",
     "ExperimentalDistribution",
     "IndexOutOfRange",
     "Infeasible",
@@ -96,10 +88,7 @@ __all__ = [
     "dataset_from_json",
     "dataset_from_probs",
     "export_csv",
-    "feasible",
     "format_query",
-    "frechet_lower",
-    "frechet_upper",
     "generate_sample",
     "load_dataset",
     "make_interval",

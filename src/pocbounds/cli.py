@@ -84,8 +84,7 @@ def _fmt(interval: Interval, digits: int = 6) -> str:
 
 def _print_violations(dataset: Dataset, out) -> None:
     for v in dataset.validation.violations:
-        where = f"x{v.j},y{v.i}" if v.j else "totals"
-        print(f"  {where}: {v.kind} violated by {v.magnitude:.6g}", file=out)
+        print(f"  x{v.j},y{v.i}: {v.kind} violated by {v.magnitude:.6g}", file=out)
 
 
 def _cmd_validate(args) -> int:
@@ -105,7 +104,13 @@ def _cmd_bound(args) -> int:
         _print_violations(dataset, sys.stderr)
         return 2
     query = parse_query(args.query, dataset.space)
-    result = engine.bound(dataset, query)
+    try:
+        result = engine.bound(dataset, query)
+    except InfeasibleInterval as exc:
+        # Bounds cross only on data that fail validation; name their cells.
+        print(f"inconsistent data: {exc}", file=sys.stderr)
+        _print_violations(dataset, sys.stderr)
+        return 1
     print(_fmt(result.interval))
     if args.trace:
         print(json.dumps(result.trace.to_json(), indent=2))
@@ -230,7 +235,7 @@ def main(argv=None) -> int:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleInterval as exc:
-        # The engine's bounds crossed: the data are inconsistent beyond float noise.
+        # The engine's bounds crossed: the data fail the consistency check.
         print(f"inconsistent data: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

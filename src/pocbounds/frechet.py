@@ -1,23 +1,19 @@
-"""Probability intervals and the Frechet/Boole primitives the bound theorems share.
+"""Probability intervals, as the bound theorems build them.
 
 Every theorem in the engine is a max over lower-bound candidates intersected
-with a min over upper-bound candidates; this module owns the interval type,
-the two Frechet primitives, and make_interval (including the infeasibility
-check that fires when the lower end exceeds the upper by more than
-numerical noise).
+with a min over upper-bound candidates, among them the Frechet bounds of a
+conjunction, which the engine computes inline. This module owns the interval
+type and make_interval, including the infeasibility check that fires when
+the lower end exceeds the upper by more than numerical noise.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 # Slack for infeasibility detection; float error accumulates across the
 # recursion but stays far below this.
 EPS_NUM = 1e-9
-
-
-class EmptySequence(ValueError):
-    """A bound primitive was called with no arguments."""
 
 
 class InfeasibleInterval(ValueError):
@@ -93,21 +89,3 @@ def make_interval(lo: float, hi: float, lo_label: str = "lower", hi_label: str =
         # Within noise; widen rather than guess a side.
         lo_c, hi_c = hi_c, lo_c
     return Interval(lo_c, hi_c)
-
-
-def frechet_lower(ps: Sequence[float]) -> float:
-    """max{0, sum(ps) - (len(ps) - 1)}: the Frechet lower bound of a conjunction.
-
-    Capped at min(ps), which it never exceeds in exact arithmetic but can in
-    floats: 1.0 + 0.03 - 1 rounds to 0.030000000000000027.
-    """
-    if len(ps) == 0:
-        raise EmptySequence("frechet_lower needs at least one probability")
-    return min(min(ps), max(0.0, sum(ps) - (len(ps) - 1)))
-
-
-def frechet_upper(ps: Sequence[float]) -> float:
-    """min(ps): the Frechet upper bound of a conjunction."""
-    if len(ps) == 0:
-        raise EmptySequence("frechet_upper needs at least one probability")
-    return min(ps)

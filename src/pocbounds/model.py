@@ -29,12 +29,10 @@ from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-# Tolerance of the sum and consistency checks. Ingested counts are exact, so
-# their sums must be exact; hand-typed probability files get slack. That slack
-# is wider than the engine's EPS_NUM (1e-9): a probability table that passes
-# with a consistency violation inside 1e-6 can still make the engine's bounds
-# cross and raise InfeasibleInterval.
-EPS_COUNTS = 1e-9
+# Slack for hand-typed probability files at ingest: a cell may lie this far
+# outside [0, 1], and a row (or the observational table) may sum to 1 within
+# it before it is renormalized exactly. The consistency check takes no slack:
+# it runs exactly on the renormalized integers.
 EPS_PROBS = 1e-6
 
 # Denominator cap when recovering rationals from user-supplied floats.
@@ -91,11 +89,11 @@ class ProblemSpace(_ProblemSpaceFields):
 
 
 class Violation(NamedTuple):
-    """One failed check; j/i are 0 when the check is not cell-specific."""
+    """One failed consistency check in cell (x_j, y_i), by its exact gap."""
 
     j: int
     i: int
-    kind: str  # lower | upper | rowSum | totalSum
+    kind: str  # lower | upper
     magnitude: float
 
 
@@ -336,33 +334,34 @@ def _obs_from_probs(probs) -> ObservationalDistribution:
 
 
 def _build_report(
-    exp: ExperimentalDistribution, obs: ObservationalDistribution, eps: float
+    exp: ExperimentalDistribution, obs: ObservationalDistribution
 ) -> ValidationReport:
+    """Check P(x_j, y_i) <= P(y_i | do x_j) <= P(x_j, y_i) + 1 - P(x_j) in every cell.
+
+    The check is exact: both sides are cross-multiplied over
+    exp.den[j] * obs.den and compared as integers. The data admit a joint
+    response-type distribution iff no cell fails, so the report is the
+    feasibility test; the oracle raises Infeasible from its first "lower"
+    violation.
+    """
     violations: list[Violation] = []
-    for j, (row, den) in enumerate(zip(exp.num, exp.den), start=1):
-        row_sum = sum(row) / den
-        if abs(row_sum - 1.0) > eps:
-            violations.append(Violation(j, 0, "rowSum", abs(row_sum - 1.0)))
-    total = sum(map(sum, obs.num)) / obs.den
-    if abs(total - 1.0) > eps:
-        violations.append(Violation(0, 0, "totalSum", abs(total - 1.0)))
-    for j, (do_row, xy_row, p_x) in enumerate(zip(exp.p, obs.p, obs.px), start=1):
-        for i, (p_do, p_xy) in enumerate(zip(do_row, xy_row), start=1):
-            # Consistency: P(x_j, y_i) <= P(y_i | do(x_j)) <= P(x_j, y_i) + 1 - P(x_j)
-            if p_xy - p_do > eps:
-                violations.append(Violation(j, i, "lower", p_xy - p_do))
-            if p_do - (p_xy + 1.0 - p_x) > eps:
-                violations.append(Violation(j, i, "upper", p_do - (p_xy + 1.0 - p_x)))
+    for j, (do_row, xy_row, d) in enumerate(zip(exp.num, obs.num, exp.den), start=1):
+        scale = d * obs.den
+        rest = obs.den - sum(xy_row)  # (1 - P(x_j)) * obs.den
+        for i, (do, xy) in enumerate(zip(do_row, xy_row), start=1):
+            gap = xy * d - do * obs.den
+            if gap > 0:
+                violations.append(Violation(j, i, "lower", gap / scale))
+            gap = do * obs.den - (xy + rest) * d
+            if gap > 0:
+                violations.append(Violation(j, i, "upper", gap / scale))
     return ValidationReport.from_violations(violations)
 
 
 def _assemble(
-    exp: ExperimentalDistribution,
-    obs: ObservationalDistribution,
-    space: ProblemSpace,
-    eps: float,
+    exp: ExperimentalDistribution, obs: ObservationalDistribution, space: ProblemSpace
 ) -> Dataset:
-    return Dataset(space, exp, obs, _build_report(exp, obs, eps))
+    return Dataset(space, exp, obs, _build_report(exp, obs))
 
 
 def dataset_from_counts(
@@ -385,7 +384,6 @@ def dataset_from_counts(
         _exp_from_counts(exp_counts),
         _obs_from_counts(obs_counts),
         ProblemSpace(m, n),
-        EPS_COUNTS,
     )
 
 
@@ -408,7 +406,6 @@ def dataset_from_probs(
         _exp_from_probs(exp_probs),
         _obs_from_probs(obs_probs),
         ProblemSpace(m, n),
-        EPS_PROBS,
     )
 
 
@@ -453,8 +450,7 @@ def dataset_from_json(doc: dict) -> Dataset:
     else:
         _check_probs(obs_val, "observational probabilities")
         obs = _obs_from_probs(obs_val)
-    all_counts = exp_is_counts and obs_is_counts
-    return _assemble(exp, obs, space, EPS_COUNTS if all_counts else EPS_PROBS)
+    return _assemble(exp, obs, space)
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -143,14 +143,15 @@ def _exact_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fract
     """Tight (min, max) in exact arithmetic; conditional queries are divided
     by the exact evidence probability, mirroring the engine's conditioning rule.
     """
-    cell = _first_violation(dataset)
-    if cell is not None:
-        j, i = cell
-        raise Infeasible(
-            "experimental and observational data admit no joint response-type distribution: "
-            f"P(y{i} | do x{j}) = {dataset.exp.exact_do(j, i)}"
-            f" < P(x{j}, y{i}) = {dataset.obs.exact_joint(j, i)}"
-        )
+    # Each row of the marginals is a transportation problem whose demands
+    # D_j(y) must be >= 0: the data admit a model iff no cell fails "lower".
+    for j, i, kind, _ in dataset.validation.violations:
+        if kind == "lower":
+            raise Infeasible(
+                "experimental and observational data admit no joint response-type distribution: "
+                f"P(y{i} | do x{j}) = {dataset.exp.exact_do(j, i)}"
+                f" < P(x{j}, y{i}) = {dataset.obs.exact_joint(j, i)}"
+            )
     vmin = vmax = Fraction(0)
     if cq.kind != ZERO:
         vmin, vmax = _closed_form(dataset, cq)
@@ -166,24 +167,3 @@ def tight_bounds(dataset: Dataset, query) -> Interval:
     """Tight [min, max] of the query probability over all compatible models."""
     vmin, vmax = _exact_bounds(dataset, _to_canonical(dataset, query))
     return make_interval(float(vmin), float(vmax), "LP min", "LP max")
-
-
-def _first_violation(dataset: Dataset) -> tuple[int, int] | None:
-    """The first cell (j, i) with P(y_i | do x_j) < P(x_j, y_i), or None."""
-    exp, obs = dataset.exp, dataset.obs
-    for j, (e_row, o_row, d) in enumerate(zip(exp.num, obs.num, exp.den), start=1):
-        for i, (e, o) in enumerate(zip(e_row, o_row), start=1):
-            if e * obs.den < o * d:
-                return j, i
-    return None
-
-
-def feasible(dataset: Dataset) -> bool:
-    """True iff the constraint system admits any joint distribution.
-
-    For each j the marginal rows form a transportation problem: supplies
-    P(x_c) for c != j, demands P(y | do x_j) - P(x_j, y), and both sum to
-    1 - P(x_j) on ingested data. It is feasible iff no demand is negative,
-    checked here exactly on the integer numerators.
-    """
-    return _first_violation(dataset) is None

@@ -11,9 +11,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import settings
 
 from pocbounds.model import Dataset, dataset_from_counts
 from pocbounds.queryir import CounterfactualTerm, Query, canonicalize
+
+# Fixed examples and no example database: every run draws the same cases.
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 TREATMENT_EXP = [[80, 7, 213], [184, 29, 87], [87, 189, 24]]
 TREATMENT_OBS = [[238, 20, 7], [10, 77, 259], [147, 72, 70]]

@@ -243,8 +243,8 @@ class TestErrorPaths:
         assert "oracle error" in capsys.readouterr().err
 
     # The consistency gap, 5e-7, is inside the 1e-6 slack that probability
-    # tables validate with, so --strict lets it through; the engine's own
-    # 1e-9 check then fails.
+    # cells and sums get at ingest. The consistency check takes no slack, so
+    # the table fails validation, as it fails the engine's 1e-9 check.
     NEAR_INCONSISTENT = {
         "treatments": ["x1", "x2"],
         "outcomes": ["y1", "y2"],
@@ -252,15 +252,36 @@ class TestErrorPaths:
         "observational_probs": [[0.3000005, 0.1999995], [0.2, 0.3]],
     }
 
+    # P(y1 | do x1) < P(x1, y1) forces the other cell of the row over its
+    # upper end by the same gap.
+    NEAR_INCONSISTENT_CELLS = [
+        "  x1,y1: lower violated by 5e-07",
+        "  x1,y2: upper violated by 5e-07",
+    ]
+
     def _bound_near_inconsistent(self, tmp_path, capsys, *flags):
         path = tmp_path / "near.json"
         path.write_text(json.dumps(self.NEAR_INCONSISTENT), encoding="utf-8")
         code = main(["bound", "--data", str(path), *flags, "--query", "P(y1_x1, y2_x2)"])
         return code, capsys.readouterr().err
 
+    def test_strict_refuses_near_inconsistent_probabilities(self, tmp_path, capsys):
+        code, err = self._bound_near_inconsistent(tmp_path, capsys, "--strict")
+        assert code == 2
+        lines = err.splitlines()
+        assert lines[0] == "strict mode: dataset fails consistency validation"
+        assert lines[1:] == self.NEAR_INCONSISTENT_CELLS
+
+    def test_validate_lists_near_inconsistent_cells(self, tmp_path, capsys):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(self.NEAR_INCONSISTENT), encoding="utf-8")
+        assert main(["validate", "--data", str(path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["validation: 2 violation(s)", *self.NEAR_INCONSISTENT_CELLS]
+
     def test_engine_infeasible_interval_not_blamed_on_oracle(self, tmp_path, capsys):
         # The report must name the data, not the oracle.
-        code, err = self._bound_near_inconsistent(tmp_path, capsys, "--strict")
+        code, err = self._bound_near_inconsistent(tmp_path, capsys)
         assert code == 1
         assert err.startswith("inconsistent data: infeasible interval:")
         assert "oracle" not in err
@@ -268,8 +289,14 @@ class TestErrorPaths:
     def test_engine_infeasible_interval_names_the_node(self, tmp_path, capsys):
         code, err = self._bound_near_inconsistent(tmp_path, capsys)
         assert code == 1
-        assert err.startswith("inconsistent data: infeasible interval:")
-        assert err.rstrip().endswith("at node P(y1_x1, x2, y2)")
+        first = err.splitlines()[0]
+        assert first.startswith("inconsistent data: infeasible interval:")
+        assert first.endswith("at node P(y1_x1, x2, y2)")
+
+    def test_engine_infeasible_interval_names_the_data_cell(self, tmp_path, capsys):
+        code, err = self._bound_near_inconsistent(tmp_path, capsys)
+        assert code == 1
+        assert err.splitlines()[1:] == self.NEAR_INCONSISTENT_CELLS
 
 
 def test_cli_import_loads_no_numpy():

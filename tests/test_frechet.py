@@ -2,14 +2,7 @@ import math
 
 import pytest
 
-from pocbounds.frechet import (
-    EmptySequence,
-    InfeasibleInterval,
-    Interval,
-    frechet_lower,
-    frechet_upper,
-    make_interval,
-)
+from pocbounds.frechet import InfeasibleInterval, Interval, make_interval
 
 
 class TestInterval:
@@ -71,37 +64,3 @@ class TestMakeInterval:
     def test_exact_endpoints_preserved(self):
         iv = make_interval(0.125, 0.625)
         assert iv == Interval(0.125, 0.625)
-
-
-class TestFrechetCombinators:
-    def test_lower_two_events(self):
-        assert math.isclose(frechet_lower([0.7, 0.8]), 0.5)
-
-    def test_lower_clamped_at_zero(self):
-        assert frechet_lower([0.2, 0.3]) == 0.0
-
-    def test_lower_three_events(self):
-        # sum - (k-1) with k=3
-        assert math.isclose(frechet_lower([0.9, 0.8, 0.7]), 0.4)
-
-    def test_upper_is_min(self):
-        assert frechet_upper([0.7, 0.3, 0.5]) == 0.3
-
-    def test_single_event_degenerates(self):
-        assert frechet_lower([0.42]) == 0.42
-        assert frechet_upper([0.42]) == 0.42
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySequence):
-            frechet_upper([])
-        with pytest.raises(EmptySequence):
-            frechet_lower([])
-
-    def test_lower_never_exceeds_upper(self):
-        ps = [0.55, 0.6, 0.95]
-        assert frechet_lower(ps) <= frechet_upper(ps)
-
-    def test_lower_capped_when_rounding_crosses(self):
-        # 1.0 + 0.03 - 1 rounds to 0.030000000000000027 > 0.03
-        assert frechet_lower([1.0, 0.03]) == frechet_upper([1.0, 0.03]) == 0.03
-        assert frechet_lower([1.0, 1e-09]) == 1e-09

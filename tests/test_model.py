@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -107,12 +108,13 @@ class TestProbsIngestion:
         assert ds.obs.exact_joint(2, 2) == Fraction(2, 5)
 
     def test_row_sum_tolerance(self):
-        # off by 1e-7 per row: inside the hand-typed tolerance
+        # a row and the total off by 1e-7: inside the hand-typed tolerance
         ds = dataset_from_probs(
             [[0.6 + 1e-7, 0.4], [0.3, 0.7]],
-            [[0.3, 0.1], [0.2, 0.4]],
+            [[0.3, 0.1], [0.2, 0.4 - 1e-7]],
         )
         assert ds.exp.exact_do(1, 1) + ds.exp.exact_do(1, 2) == 1  # renormalized exactly
+        assert ds.validation.ok
 
     def test_row_sum_violation_rejected(self):
         with pytest.raises(DataError):
@@ -125,6 +127,16 @@ class TestProbsIngestion:
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError):
             dataset_from_probs([[1.2, -0.2], [0.3, 0.7]], [[0.3, 0.1], [0.2, 0.4]])
+
+
+@st.composite
+def count_tables(draw):
+    """Random count tables with no empty experimental row; any consistency."""
+    m, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    cells = st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n), min_size=m, max_size=m)
+    exp = draw(cells.filter(lambda t: all(map(sum, t))))
+    obs = draw(cells.filter(lambda t: sum(map(sum, t))))
+    return exp, obs
 
 
 class TestValidation:
@@ -150,6 +162,27 @@ class TestValidation:
         ds = dataset_from_counts([[2, 8], [5, 5]], [[5, 0], [2, 3]])
         v = next(v for v in ds.validation.violations if v.kind == "lower")
         assert v.magnitude == pytest.approx(0.5 - 0.2, abs=1e-12)
+
+    def test_gap_inside_probability_slack_fails(self):
+        # P(x1, y1) exceeds P(y1 | do x1) by 5e-7, inside the 1e-6 ingest slack
+        ds = dataset_from_probs([[0.3, 0.7], [0.5, 0.5]], [[0.3000005, 0.1999995], [0.2, 0.3]])
+        assert not ds.validation.ok
+        assert ds.validation.violations[0] == (1, 1, "lower", 5e-7)
+
+    @settings(max_examples=200)
+    @given(tables=count_tables())
+    def test_report_is_the_exact_rule(self, tables):
+        exp, obs = tables
+        ds = dataset_from_counts(exp, obs)
+        expected = []
+        for j, i in itertools.product(range(1, len(exp) + 1), range(1, len(exp[0]) + 1)):
+            do, xy = ds.exp.exact_do(j, i), ds.obs.exact_joint(j, i)
+            if xy > do:
+                expected.append((j, i, "lower", float(xy - do)))
+            upper = xy + 1 - ds.obs.exact_x(j)
+            if do > upper:
+                expected.append((j, i, "upper", float(do - upper)))
+        assert list(ds.validation.violations) == expected
 
 
 class TestJsonIngestion:

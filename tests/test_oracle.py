@@ -6,11 +6,11 @@ import pytest
 
 from pocbounds.engine import ZeroEvidenceProbability, bound
 from pocbounds.model import dataset_from_counts, dataset_from_probs
-from pocbounds.oracle import Infeasible, feasible, tight_bounds
+from pocbounds.oracle import Infeasible, tight_bounds
 from pocbounds.queryir import canonicalize, parse_query
 
 from conftest import counts_from_masses, random_feasible_dataset, random_query
-from lp_reference import _objective, response_types
+from lp_reference import _objective, reference_feasible, response_types
 
 INFEASIBLE_EXP = [[2, 8], [5, 5]]
 INFEASIBLE_OBS = [[5, 0], [2, 3]]  # P(x1,y1) = 0.5 > P(y1|do(x1)) = 0.2
@@ -119,16 +119,20 @@ class TestLargeSpaces:
 
 class TestFeasibility:
     def test_bundled_datasets_feasible(self, treatment, institute, vaccine):
-        assert feasible(treatment)
-        assert feasible(institute)
-        assert feasible(vaccine)
+        for ds in (treatment, institute, vaccine):
+            assert ds.validation.ok
+            assert reference_feasible(ds)
 
     def test_consistency_violation_infeasible(self):
-        ds = dataset_from_counts(INFEASIBLE_EXP, INFEASIBLE_OBS)
-        assert not ds.validation.ok
-        assert not feasible(ds)
-        with pytest.raises(Infeasible):
-            tight_bounds(ds, "P(y1_x1, y2_x2)")
+        # the second table's gap, 5e-7, is inside the 1e-6 ingest slack
+        for ds in (
+            dataset_from_counts(INFEASIBLE_EXP, INFEASIBLE_OBS),
+            dataset_from_probs([[0.3, 0.7], [0.5, 0.5]], [[0.3000005, 0.1999995], [0.2, 0.3]]),
+        ):
+            assert not ds.validation.ok
+            assert not reference_feasible(ds)
+            with pytest.raises(Infeasible, match=r"P\(y1 \| do x1\) = \S+ < P\(x1, y1\)"):
+                tight_bounds(ds, "P(y1_x1, y2_x2)")
 
     def test_validation_predicts_feasibility(self):
         # pairwise consistency of every (j, i) cell is equivalent to the
@@ -146,7 +150,7 @@ class TestFeasibility:
             if sum(v for row in obs for v in row) == 0:
                 obs[0][0] = 1
             ds = dataset_from_counts(exp, obs)
-            assert ds.validation.ok == feasible(ds)
+            assert ds.validation.ok == reference_feasible(ds)
             agreements += 1
         assert agreements == 40
 

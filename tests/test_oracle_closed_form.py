@@ -12,7 +12,7 @@ import pytest
 
 from pocbounds.engine import ZeroEvidenceProbability
 from pocbounds.model import dataset_from_counts
-from pocbounds.oracle import Infeasible, _exact_bounds, feasible, tight_bounds
+from pocbounds.oracle import Infeasible, _exact_bounds, tight_bounds
 from pocbounds.queryir import EXACT, STANDARD, ZERO, CounterfactualTerm, Query, canonicalize
 
 from arm_lp_reference import arm_lp_bounds
@@ -135,7 +135,7 @@ def test_pushed_cell_is_infeasible_exactly_when_feasible_is_false():
         exp[j][other] += delta
         ds = dataset_from_counts(exp, obs)
         ok = exp[j][i] >= obs[j][i]
-        assert feasible(ds) == ok
+        assert ds.validation.ok == ok
         cq = canonicalize(draw_query(rng, m, n, FORMS[idx % len(FORMS)]))
         assert arm_lp_bounds(ds, cq)[0] == ("optimal" if ok else "infeasible")
         if ok:
