@@ -31,6 +31,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from pocbounds.engine import bound  # noqa: E402
 from pocbounds.model import dataset_from_counts  # noqa: E402
+from pocbounds.simgen import counts_from_masses  # noqa: E402
 
 DEFAULT_CORPUS = ROOT / "tests" / "data" / "engine_corpus.json"
 # (m, n) with at most 729 response types, so the masses stay small.
@@ -49,25 +50,20 @@ def masses_table(rng: random.Random, m: int, n: int, skewed: bool):
     """Experimental and observational counts realized by response-type masses.
 
     A skewed table favours one outcome per treatment: a type keeps its mass
-    with probability 0.3 per coordinate off the favoured outcome.
+    with probability 0.3 per coordinate off the favoured outcome. A draw with
+    no mass at all puts 1 on the favoured type under x_1.
     """
-    favoured = [rng.randint(1, n) for _ in range(m)]
-    obs = [[0] * n for _ in range(m)]
-    exp = [[0] * n for _ in range(m)]
-    for t in itertools.product(range(1, n + 1), repeat=m):
-        off = sum(1 for j in range(m) if t[j] != favoured[j])
-        for col in range(m):
-            if skewed and rng.random() >= 0.3**off:
-                continue
-            w = rng.randrange(0, 7)
-            obs[col][t[col] - 1] += w
-            for j in range(m):
-                exp[j][t[j] - 1] += w
-    if sum(map(sum, obs)) == 0:
-        obs[0][favoured[0] - 1] += 1
-        for j in range(m):
-            exp[j][favoured[j] - 1] += 1
-    return exp, obs
+    favoured = tuple(rng.randint(1, n) for _ in range(m))
+    types = list(itertools.product(range(1, n + 1), repeat=m))
+    masses = []
+    for t in types:
+        keep = 0.3 ** sum(1 for a, b in zip(t, favoured) if a != b)
+        masses.append(
+            [0 if skewed and rng.random() >= keep else rng.randrange(0, 7) for _ in range(m)]
+        )
+    if not any(map(any, masses)):
+        masses[types.index(favoured)][0] = 1
+    return counts_from_masses(masses, m, n)
 
 
 def query_text(rng: random.Random, m: int, n: int, form: str) -> str:

@@ -2,8 +2,8 @@
 """Time `tight_bounds` (the exact closed form) on the cases of README's oracle table.
 
 Bundled fixtures: median of 3 calls of one published query. Random spaces
-(tables from response-type masses, as in validate_against_oracle.py): the
-median over 5 random queries with k <= 4 (3 queries with k <= 8 at 8x4).
+(`simgen.random_model` and `random_query`, as in validate_against_oracle.py):
+the median over 5 random queries with k <= 4 (3 queries with k <= 8 at 8x4).
 The last row is the total time of 300 random queries with m, n <= 3 and
 k <= 3. Prints one line per case and, with --json, writes the figures in
 milliseconds.
@@ -17,12 +17,12 @@ import random
 import statistics
 import time
 
-from validate_against_oracle import SIZES, VARIANTS, random_dataset, random_query
+from validate_against_oracle import SIZES, VARIANTS
 
 from pocbounds.cli import fixture_path
 from pocbounds.model import load_dataset
 from pocbounds.oracle import tight_bounds
-from pocbounds.queryir import CounterfactualTerm, Query
+from pocbounds.simgen import random_model, random_query
 
 FIXTURE_CASES = [
     ("treatment", "P(y3_x1, y1_x2, y2_x3)"),
@@ -39,17 +39,6 @@ def _ms(dataset, query) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
-def _wide_query(rng: random.Random, m: int, n: int, kmax: int) -> Query:
-    js = rng.sample(range(1, m + 1), rng.randrange(1, kmax + 1))
-    terms = tuple(CounterfactualTerm(j, rng.randrange(1, n + 1)) for j in sorted(js))
-    variant = rng.choice(VARIANTS)
-    return Query(
-        terms=terms,
-        evidence_x=rng.randrange(1, m + 1) if variant in ("x", "xy") else None,
-        evidence_y=rng.randrange(1, n + 1) if variant in ("y", "xy") else None,
-    )
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -62,14 +51,14 @@ def main() -> int:
         ds = load_dataset(fixture_path(name))
         results[f"{name} {query}"] = statistics.median(_ms(ds, query) for _ in range(3))
     for m, n, kmax, count in SPACE_CASES:
-        ds = random_dataset(rng, m, n)
-        times = [_ms(ds, _wide_query(rng, m, n, kmax)) for _ in range(count)]
+        ds = random_model(rng, m, n)
+        times = [_ms(ds, random_query(rng, m, n, kmax=kmax)) for _ in range(count)]
         results[f"{m}x{n}, k <= {kmax}"] = statistics.median(times)
     total = 0.0
     for idx in range(300):
         m, n = SIZES[idx % len(SIZES)]
-        ds = random_dataset(rng, m, n)
-        total += _ms(ds, random_query(rng, m, n, VARIANTS[(idx // len(SIZES)) % len(VARIANTS)]))
+        ds = random_model(rng, m, n)
+        total += _ms(ds, random_query(rng, m, n, variant=VARIANTS[(idx // len(SIZES)) % len(VARIANTS)]))
     results["300 random queries, m, n <= 3, k <= 3 (total)"] = total
 
     for key, ms in results.items():

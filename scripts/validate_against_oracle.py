@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Stress the closed-form bounds against the LP oracle on random models.
 
+Models and queries come from `pocbounds.simgen`: count tables realized by
+random response-type masses, so every table is consistent.
+
 For each random (dataset, query) pair the LP-tight interval must sit inside
 the closed-form interval. The report shows the worst containment slack seen,
 how often the closed forms are tight, and average interval widths, broken
@@ -8,16 +11,15 @@ down by query shape.
 """
 
 import argparse
-import itertools
 import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass
 
 from pocbounds.engine import bound
-from pocbounds.model import dataset_from_counts
 from pocbounds.oracle import tight_bounds
-from pocbounds.queryir import CounterfactualTerm, Query, format_query
+from pocbounds.queryir import format_query
+from pocbounds.simgen import random_model, random_query
 
 SIZES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 VARIANTS = ["plain", "x", "y", "xy"]
@@ -31,34 +33,6 @@ class Bucket:
     tight: int = 0
     engine_width: float = 0.0
     lp_width: float = 0.0
-
-
-def random_dataset(rng: random.Random, m: int, n: int):
-    """Counts realized by random response-type masses: feasible by construction."""
-    types = list(itertools.product(range(1, n + 1), repeat=m))
-    masses = [[rng.randrange(0, 7) for _ in range(m)] for _ in types]
-    if sum(map(sum, masses)) == 0:
-        masses[0][0] = 1
-    obs = [[0] * n for _ in range(m)]
-    exp = [[0] * n for _ in range(m)]
-    for t, row in zip(types, masses):
-        for col, w in enumerate(row):
-            obs[col][t[col] - 1] += w
-            for j in range(m):
-                exp[j][t[j] - 1] += w
-    return dataset_from_counts(exp, obs)
-
-
-def random_query(rng: random.Random, m: int, n: int, variant: str) -> Query:
-    k = rng.randrange(1, min(3, m) + 1)
-    js = rng.sample(range(1, m + 1), k)
-    terms = tuple(CounterfactualTerm(j, rng.randrange(1, n + 1)) for j in sorted(js))
-    kwargs = {}
-    if variant in ("x", "xy"):
-        kwargs["evidence_x"] = rng.randrange(1, m + 1)
-    if variant in ("y", "xy"):
-        kwargs["evidence_y"] = rng.randrange(1, n + 1)
-    return Query(terms=terms, **kwargs)
 
 
 def parse_args() -> argparse.Namespace:
@@ -79,8 +53,8 @@ def main() -> int:
     for idx in range(args.cases):
         m, n = SIZES[idx % len(SIZES)]
         variant = VARIANTS[(idx // len(SIZES)) % len(VARIANTS)]
-        ds = random_dataset(rng, m, n)
-        q = random_query(rng, m, n, variant)
+        ds = random_model(rng, m, n)
+        q = random_query(rng, m, n, variant=variant)
         eng = bound(ds, q).interval
         lp = tight_bounds(ds, q)
 

@@ -84,7 +84,7 @@ def _fmt(interval: Interval, digits: int = 6) -> str:
 
 def _print_violations(dataset: Dataset, out) -> None:
     for v in dataset.validation.violations:
-        print(f"  x{v.j},y{v.i}: {v.kind} violated by {v.magnitude:.6g}", file=out)
+        print(f"  x{v.j},y{v.i}: lower violated by {v.magnitude:.6g}", file=out)
 
 
 def _cmd_validate(args) -> int:

@@ -363,6 +363,11 @@ def _divide_by_evidence(dataset: Dataset, interval: Interval, cq: CanonicalQuery
     return interval.scaled_by(divisor)
 
 
+def _leaf_trace(query: str, theorem: str, label: str, v: float) -> BoundTrace:
+    """The trace of a node whose one candidate, label = v, is both ends."""
+    return BoundTrace(query, theorem, label, label, v, v, ((label, v),), ((label, v),), ())
+
+
 def bound(dataset: Dataset, query: Query | str) -> BoundResult:
     """Bound a probability of causation on a dataset.
 
@@ -382,18 +387,7 @@ def bound(dataset: Dataset, query: Query | str) -> BoundResult:
         interval = Interval(0.0, 0.0)
         if cq.conditional:
             interval = _divide_by_evidence(dataset, interval, cq)
-        trace = BoundTrace(
-            query="P(impossible event)",
-            theorem="Zero",
-            lower_branch="0",
-            upper_branch="0",
-            lo=0.0,
-            hi=0.0,
-            lower_candidates=(("0", 0.0),),
-            upper_candidates=(("0", 0.0),),
-            children=(),
-        )
-        return BoundResult(interval, trace, 1)
+        return BoundResult(interval, _leaf_trace("P(impossible event)", "Zero", "0", 0.0), 1)
 
     if cq.kind == EXACT:
         label = _evidence_label(cq.evidence_x, cq.evidence_y)
@@ -401,18 +395,7 @@ def bound(dataset: Dataset, query: Query | str) -> BoundResult:
         interval = make_interval(v, v)
         if cq.conditional:
             interval = _divide_by_evidence(dataset, interval, cq)
-        trace = BoundTrace(
-            query=label,
-            theorem="Exact",
-            lower_branch=label,
-            upper_branch=label,
-            lo=v,
-            hi=v,
-            lower_candidates=((label, v),),
-            upper_candidates=((label, v),),
-            children=(),
-        )
-        return BoundResult(interval, trace, 1)
+        return BoundResult(interval, _leaf_trace(label, "Exact", label, v), 1)
 
     if len(cq.terms) > MAX_TERMS:
         raise UnsupportedQuery(

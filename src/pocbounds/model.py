@@ -89,11 +89,10 @@ class ProblemSpace(_ProblemSpaceFields):
 
 
 class Violation(NamedTuple):
-    """One failed consistency check in cell (x_j, y_i), by its exact gap."""
+    """Cell (x_j, y_i) with P(y_i | do x_j) < P(x_j, y_i), by its exact gap."""
 
     j: int
     i: int
-    kind: str  # lower | upper
     magnitude: float
 
 
@@ -336,25 +335,25 @@ def _obs_from_probs(probs) -> ObservationalDistribution:
 def _build_report(
     exp: ExperimentalDistribution, obs: ObservationalDistribution
 ) -> ValidationReport:
-    """Check P(x_j, y_i) <= P(y_i | do x_j) <= P(x_j, y_i) + 1 - P(x_j) in every cell.
+    """Check P(x_j, y_i) <= P(y_i | do x_j) in every cell.
 
     The check is exact: both sides are cross-multiplied over
     exp.den[j] * obs.den and compared as integers. The data admit a joint
     response-type distribution iff no cell fails, so the report is the
-    feasibility test; the oracle raises Infeasible from its first "lower"
-    violation.
+    feasibility test; the oracle raises Infeasible from its first violation.
+
+    The upper end of the consistency envelope, P(y_i | do x_j) <=
+    P(x_j, y_i) + 1 - P(x_j), needs no check of its own. Ingest makes every
+    row sum exactly, so sum_i (P(y_i | do x_j) - P(x_j, y_i)) = 1 - P(x_j):
+    a cell over its upper end leaves less than nothing for the rest of its
+    row, and another cell of that row fails the lower check.
     """
     violations: list[Violation] = []
     for j, (do_row, xy_row, d) in enumerate(zip(exp.num, obs.num, exp.den), start=1):
-        scale = d * obs.den
-        rest = obs.den - sum(xy_row)  # (1 - P(x_j)) * obs.den
         for i, (do, xy) in enumerate(zip(do_row, xy_row), start=1):
             gap = xy * d - do * obs.den
             if gap > 0:
-                violations.append(Violation(j, i, "lower", gap / scale))
-            gap = do * obs.den - (xy + rest) * d
-            if gap > 0:
-                violations.append(Violation(j, i, "upper", gap / scale))
+                violations.append(Violation(j, i, gap / (d * obs.den)))
     return ValidationReport.from_violations(violations)
 
 

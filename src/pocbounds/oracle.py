@@ -78,17 +78,6 @@ def _arm_events(cq: CanonicalQuery, c: int):
     return cross, observed
 
 
-def _to_canonical(dataset: Dataset, query) -> CanonicalQuery:
-    if isinstance(query, str):
-        query = parse_query(query, dataset.space)
-    if isinstance(query, Query):
-        validate_indices(query, dataset.space)
-        return canonicalize(query)
-    if isinstance(query, CanonicalQuery):
-        return query
-    raise TypeError(f"unsupported query type {type(query)!r}")
-
-
 def _exact_divisor(dataset: Dataset, ex, ey) -> Fraction:
     if ex is not None and ey is not None:
         return dataset.obs.exact_joint(ex, ey)
@@ -144,14 +133,14 @@ def _exact_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fract
     by the exact evidence probability, mirroring the engine's conditioning rule.
     """
     # Each row of the marginals is a transportation problem whose demands
-    # D_j(y) must be >= 0: the data admit a model iff no cell fails "lower".
-    for j, i, kind, _ in dataset.validation.violations:
-        if kind == "lower":
-            raise Infeasible(
-                "experimental and observational data admit no joint response-type distribution: "
-                f"P(y{i} | do x{j}) = {dataset.exp.exact_do(j, i)}"
-                f" < P(x{j}, y{i}) = {dataset.obs.exact_joint(j, i)}"
-            )
+    # D_j(y) must be >= 0: the data admit a model iff no cell is violated.
+    if dataset.validation.violations:
+        j, i, _ = dataset.validation.violations[0]
+        raise Infeasible(
+            "experimental and observational data admit no joint response-type distribution: "
+            f"P(y{i} | do x{j}) = {dataset.exp.exact_do(j, i)}"
+            f" < P(x{j}, y{i}) = {dataset.obs.exact_joint(j, i)}"
+        )
     vmin = vmax = Fraction(0)
     if cq.kind != ZERO:
         vmin, vmax = _closed_form(dataset, cq)
@@ -163,7 +152,14 @@ def _exact_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fract
     return vmin, vmax
 
 
-def tight_bounds(dataset: Dataset, query) -> Interval:
-    """Tight [min, max] of the query probability over all compatible models."""
-    vmin, vmax = _exact_bounds(dataset, _to_canonical(dataset, query))
+def tight_bounds(dataset: Dataset, query: Query | str) -> Interval:
+    """Tight [min, max] of the query probability over all compatible models.
+
+    Takes query text or a query object, as engine.bound does.
+    """
+    if isinstance(query, str):
+        query = parse_query(query, dataset.space)
+    else:
+        validate_indices(query, dataset.space)
+    vmin, vmax = _exact_bounds(dataset, canonicalize(query))
     return make_interval(float(vmin), float(vmax), "LP min", "LP max")

@@ -1,8 +1,15 @@
-"""Simulation study for the two-treatment, three-outcome joint query.
+"""Random response-type models, and the simulation study for the
+two-treatment, three-outcome joint query.
 
-Each sample draws a random structural model: nine response-type masses via
-eight sorted uniforms, then an observational layer drawn inside the
-consistency envelope. The real value of P(y1_x1, y1_x2) is the first mass
+A model on m treatments and n outcomes is a table of masses q[t][j]: the
+mass of response type t (types in lexicographic order, as in Balke & Pearl
+1997) observed under x_j. `counts_from_masses` turns one into the count
+tables it produces, which are consistent by construction; `random_model`
+and `random_query` draw the random cases of the tests and scripts.
+
+Each simulation sample draws a random structural model: nine response-type
+masses via eight sorted uniforms, then an observational layer drawn inside
+the consistency envelope. The real value of P(y1_x1, y1_x2) is the first mass
 f[0] by construction, so every sample checks containment and measures the
 gap of the derived bounds against a known ground truth.
 
@@ -14,11 +21,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from typing import NamedTuple
 
 from .engine import bound
 from .frechet import Interval
-from .model import Dataset, dataset_from_probs
+from .model import Dataset, dataset_from_counts, dataset_from_probs
 from .queryir import CounterfactualTerm, Query
 
 QUERY = Query(terms=(CounterfactualTerm(1, 1), CounterfactualTerm(2, 1)))
@@ -54,6 +62,41 @@ class SimulationSummary(NamedTuple):
     average_gap: float
     containment_rate: float
     records: tuple[SimulationRecord, ...]
+
+
+def counts_from_masses(masses, m: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The experimental and observational counts that type masses produce."""
+    exp = [[0] * n for _ in range(m)]
+    obs = [[0] * n for _ in range(m)]
+    for t, row in zip(itertools.product(range(n), repeat=m), masses, strict=True):
+        total = sum(row)
+        for j, y in enumerate(t):
+            exp[j][y] += total
+            obs[j][y] += row[j]
+    return exp, obs
+
+
+def random_model(rng, m: int, n: int) -> Dataset:
+    """Counts from masses drawn from 0..6 by a random.Random; a draw with no
+    mass at all puts 1 on the first type under x_1."""
+    masses = [[rng.randrange(0, 7) for _ in range(m)] for _ in range(n**m)]
+    if not any(map(any, masses)):
+        masses[0][0] = 1
+    return dataset_from_counts(*counts_from_masses(masses, m, n))
+
+
+def random_query(rng, m: int, n: int, kmax: int = 3, variant=None) -> Query:
+    """Up to kmax terms on distinct treatments, with evidence by variant:
+    'plain', 'x', 'y', 'xy', or None to draw one of those."""
+    js = rng.sample(range(1, m + 1), rng.randrange(1, min(kmax, m) + 1))
+    terms = tuple(CounterfactualTerm(j, rng.randrange(1, n + 1)) for j in sorted(js))
+    if variant is None:
+        variant = rng.choice(["plain", "x", "y", "xy"])
+    return Query(
+        terms=terms,
+        evidence_x=rng.randrange(1, m + 1) if "x" in variant else None,
+        evidence_y=rng.randrange(1, n + 1) if "y" in variant else None,
+    )
 
 
 def _draw_fractions(rng):

@@ -1,13 +1,9 @@
-"""Shared fixtures: the three worked-example tables and a random corpus.
-
-Random datasets are built from integer response-type masses, so they are
-feasible by construction (the masses are a witness) and all probabilities
-are exact integer ratios.
+"""Shared fixtures: the three worked-example tables, and queries drawn in
+every evidence form. Random models come from `pocbounds.simgen`.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -43,54 +39,6 @@ def institute() -> Dataset:
 @pytest.fixture(scope="session")
 def vaccine() -> Dataset:
     return dataset_from_counts(VACCINE_EXP, VACCINE_OBS)
-
-
-def counts_from_masses(masses, m: int, n: int):
-    """Experimental/observational count tables realized by type masses.
-
-    masses[t][col] is the mass of response type t observed under treatment
-    col+1; types enumerate lexicographically as in the LP.
-    """
-    types = list(itertools.product(range(1, n + 1), repeat=m))
-    assert len(masses) == len(types)
-    obs = [[0] * n for _ in range(m)]
-    exp = [[0] * n for _ in range(m)]
-    for t_idx, t in enumerate(types):
-        for col in range(m):
-            w = masses[t_idx][col]
-            obs[col][t[col] - 1] += w
-            for j in range(m):
-                exp[j][t[j] - 1] += w
-    return exp, obs
-
-
-def random_feasible_dataset(rng: random.Random, m: int, n: int) -> Dataset:
-    types_count = n**m
-    masses = [[rng.randrange(0, 7) for _ in range(m)] for _ in range(types_count)]
-    if sum(map(sum, masses)) == 0:
-        masses[0][0] = 1
-    exp, obs = counts_from_masses(masses, m, n)
-    ds = dataset_from_counts(exp, obs)
-    assert ds.validation.ok
-    return ds
-
-
-def random_query(rng: random.Random, m: int, n: int, kmax: int = 3, variant=None) -> Query:
-    """A Standard query with distinct treatments and one evidence variant.
-
-    variant: None (random), 'plain', 'x', 'y', 'xy'.
-    """
-    k = rng.randrange(1, min(kmax, m) + 1)
-    js = rng.sample(range(1, m + 1), k)
-    terms = tuple(CounterfactualTerm(j, rng.randrange(1, n + 1)) for j in sorted(js))
-    if variant is None:
-        variant = rng.choice(["plain", "x", "y", "xy"])
-    kwargs = {}
-    if variant in ("x", "xy"):
-        kwargs["evidence_x"] = rng.randrange(1, m + 1)
-    if variant in ("y", "xy"):
-        kwargs["evidence_y"] = rng.randrange(1, n + 1)
-    return Query(terms=terms, **kwargs)
 
 
 FORMS = ("plain", "x", "y", "xy", "conditional")

@@ -13,9 +13,7 @@ import pytest
 from pocbounds.engine import ZeroEvidenceProbability, bound, tian_pearl
 from pocbounds.oracle import tight_bounds
 from pocbounds.queryir import STANDARD, CounterfactualTerm, Query, canonicalize
-from pocbounds.simgen import export_csv, run_simulation
-
-from conftest import random_feasible_dataset, random_query
+from pocbounds.simgen import export_csv, random_model, random_query, run_simulation
 
 SIZES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 VARIANTS = ["plain", "x", "y", "xy"]
@@ -128,7 +126,7 @@ def test_criterion_5_oracle_validity():
     for idx in range(200):
         m, n = SIZES[idx % 4]
         variant = VARIANTS[(idx // 4) % 4]
-        ds = random_feasible_dataset(rng, m, n)
+        ds = random_model(rng, m, n)
         q = random_query(rng, m, n, kmax=3, variant=variant)
         eng = bound(ds, q).interval
         lp = tight_bounds(ds, q)
@@ -152,7 +150,7 @@ def test_criterion_6_joint_evidence_tightness():
     worst = 0.0
     for idx in range(200):
         m, n = SIZES[idx % 4]
-        ds = random_feasible_dataset(rng, m, n)
+        ds = random_model(rng, m, n)
         q = random_query(rng, m, n, kmax=1, variant="xy")
         eng = bound(ds, q).interval
         lp = tight_bounds(ds, q)
@@ -172,7 +170,7 @@ def test_criterion_7_binary_reduction():
     containment_ok = True
     collected = 0
     while collected < 200:
-        ds = random_feasible_dataset(rng, 2, 2)
+        ds = random_model(rng, 2, 2)
         if ds.p_joint(1, 1) < 1e-9 or ds.p_joint(2, 2) < 1e-9:
             continue
         pn = tian_pearl(ds, "PN")
@@ -206,7 +204,7 @@ def test_criterion_8_engine_invariants():
     checks = 0
     for idx in range(200):
         m, n = SIZES[idx % 4]
-        ds = random_feasible_dataset(rng, m, n)
+        ds = random_model(rng, m, n)
         q = random_query(rng, m, n, kmax=3, variant=VARIANTS[idx % 4])
 
         # term permutation invariance

@@ -14,8 +14,7 @@ from pocbounds.engine import (
 )
 from pocbounds.model import dataset_from_counts, dataset_from_probs
 from pocbounds.queryir import CounterfactualTerm, Query, UnsupportedQuery
-
-from conftest import random_feasible_dataset
+from pocbounds.simgen import random_model
 
 
 def f3(v: float) -> str:
@@ -258,7 +257,7 @@ class TestBinarySpecialCases:
     def test_necessity_and_sufficiency_as_conjunction(self):
         rng = random.Random(20260815)
         for _ in range(60):
-            ds = random_feasible_dataset(rng, 2, 2)
+            ds = random_model(rng, 2, 2)
             pns = tian_pearl(ds, "PNS")
             conj = bound(ds, "P(y1_x1, y2_x2)").interval
             assert conj.lo == pytest.approx(pns.lo, abs=1e-12)
@@ -268,7 +267,7 @@ class TestBinarySpecialCases:
         rng = random.Random(77)
         checked = 0
         for _ in range(80):
-            ds = random_feasible_dataset(rng, 2, 2)
+            ds = random_model(rng, 2, 2)
             if ds.p_joint(1, 1) < 1e-9 or ds.p_joint(2, 2) < 1e-9:
                 continue
             pn = tian_pearl(ds, "PN")

@@ -36,3 +36,13 @@ def test_corpus_covers_every_form_and_decisive_loo_branches():
 def test_engine_matches_corpus_bit_for_bit():
     mismatches = corpus.check()
     assert not mismatches, f"{len(mismatches)} differ; first: {mismatches[0]}"
+
+
+def test_generator_rewrites_the_corpus_byte_for_byte():
+    # The tables and queries are seeded draws: a change to the generator, or
+    # to the order it draws in, writes a different corpus. Compared by line,
+    # since pytest's diff of two whole corpora is slow to print.
+    written = corpus.dump(corpus.generate()).splitlines(keepends=True)
+    stored = corpus.DEFAULT_CORPUS.read_text().splitlines(keepends=True)
+    differ = [no for no, (a, b) in enumerate(zip(written, stored), start=1) if a != b]
+    assert (len(written), differ[:1]) == (len(stored), []), "(line count, first line that differs)"

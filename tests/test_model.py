@@ -149,40 +149,40 @@ class TestValidation:
         # P(x1,y1)=0.5 > P(y1|do(x1))=0.2
         ds = dataset_from_counts([[2, 8], [5, 5]], [[5, 0], [2, 3]])
         assert not ds.validation.ok
-        kinds = {(v.j, v.i, v.kind) for v in ds.validation.violations}
-        assert (1, 1, "lower") in kinds
+        assert (1, 1) in {(v.j, v.i) for v in ds.validation.violations}
 
     def test_upper_violation_detected(self):
-        # P(y1|do(x1))=1.0 > P(x1,y1)+1-P(x1) = 0.1+1-0.5
+        # P(y1|do(x1))=1.0 > P(x1,y1)+1-P(x1) = 0.1+1-0.5, by 0.4; the row's
+        # other cell, P(y2|do(x1))=0.0 < P(x1,y2)=0.4, names the breach
         ds = dataset_from_counts([[10, 0], [5, 5]], [[1, 4], [2, 3]])
         assert not ds.validation.ok
-        assert any(v.kind == "upper" and (v.j, v.i) == (1, 1) for v in ds.validation.violations)
+        assert ds.validation.violations == ((1, 2, 0.4),)
 
     def test_violation_magnitude(self):
         ds = dataset_from_counts([[2, 8], [5, 5]], [[5, 0], [2, 3]])
-        v = next(v for v in ds.validation.violations if v.kind == "lower")
+        (v,) = ds.validation.violations
         assert v.magnitude == pytest.approx(0.5 - 0.2, abs=1e-12)
 
     def test_gap_inside_probability_slack_fails(self):
         # P(x1, y1) exceeds P(y1 | do x1) by 5e-7, inside the 1e-6 ingest slack
         ds = dataset_from_probs([[0.3, 0.7], [0.5, 0.5]], [[0.3000005, 0.1999995], [0.2, 0.3]])
         assert not ds.validation.ok
-        assert ds.validation.violations[0] == (1, 1, "lower", 5e-7)
+        assert ds.validation.violations == ((1, 1, 5e-7),)
 
     @settings(max_examples=200)
     @given(tables=count_tables())
     def test_report_is_the_exact_rule(self, tables):
         exp, obs = tables
         ds = dataset_from_counts(exp, obs)
-        expected = []
+        expected, consistent = [], True
         for j, i in itertools.product(range(1, len(exp) + 1), range(1, len(exp[0]) + 1)):
             do, xy = ds.exp.exact_do(j, i), ds.obs.exact_joint(j, i)
             if xy > do:
-                expected.append((j, i, "lower", float(xy - do)))
-            upper = xy + 1 - ds.obs.exact_x(j)
-            if do > upper:
-                expected.append((j, i, "upper", float(do - upper)))
+                expected.append((j, i, float(xy - do)))
+            consistent &= xy <= do <= xy + 1 - ds.obs.exact_x(j)
         assert list(ds.validation.violations) == expected
+        # the report checks one end only, and still decides the two-sided rule
+        assert ds.validation.ok == consistent
 
 
 class TestJsonIngestion:

@@ -8,8 +8,8 @@ from pocbounds.engine import ZeroEvidenceProbability, bound
 from pocbounds.model import dataset_from_counts, dataset_from_probs
 from pocbounds.oracle import Infeasible, tight_bounds
 from pocbounds.queryir import canonicalize, parse_query
+from pocbounds.simgen import counts_from_masses, random_model, random_query
 
-from conftest import counts_from_masses, random_feasible_dataset, random_query
 from lp_reference import _objective, reference_feasible, response_types
 
 INFEASIBLE_EXP = [[2, 8], [5, 5]]
@@ -72,18 +72,9 @@ class TestTightBounds:
         with pytest.raises(ZeroEvidenceProbability):
             tight_bounds(ds, "P(y1_x2 | x1, y2)")
 
-    def test_accepts_parsed_and_canonical_queries(self, treatment):
+    def test_accepts_text_and_parsed_queries(self, treatment):
         q = parse_query("P(y3_x1, y1_x2)", treatment.space)
-        from pocbounds.queryir import canonicalize
-
-        a = tight_bounds(treatment, "P(y3_x1, y1_x2)")
-        b = tight_bounds(treatment, q)
-        c = tight_bounds(treatment, canonicalize(q))
-        assert a == b == c
-
-    def test_rejects_other_query_types(self, treatment):
-        with pytest.raises(TypeError):
-            tight_bounds(treatment, 42)
+        assert tight_bounds(treatment, "P(y3_x1, y1_x2)") == tight_bounds(treatment, q)
 
     def test_deterministic(self, vaccine):
         first = tight_bounds(vaccine, "P(y2_x1, y4_x2)")
@@ -108,7 +99,7 @@ class TestLargeSpaces:
         ):
             cq = canonicalize(parse_query(text, ds.space))
             assert len(cq.terms) == 4
-            lp = tight_bounds(ds, cq)
+            lp = tight_bounds(ds, text)
             eng = bound(ds, text).interval
             assert eng.contains_interval(lp, eps=1e-9), f"engine {eng} does not contain LP {lp} for {text}"
             # the masses are a model of the data, so their value is attainable
@@ -160,7 +151,7 @@ class TestOracleValidatesEngine:
         rng = random.Random(909)
         for _ in range(30):
             m, n = rng.choice([(2, 2), (2, 3), (3, 3)])
-            ds = random_feasible_dataset(rng, m, n)
+            ds = random_model(rng, m, n)
             q = random_query(rng, m, n)
             eng = bound(ds, q).interval
             lp = tight_bounds(ds, q)
@@ -173,7 +164,7 @@ class TestOracleValidatesEngine:
         rng = random.Random(4242)
         for _ in range(25):
             m, n = rng.choice([(2, 2), (2, 3), (3, 2)])
-            ds = random_feasible_dataset(rng, m, n)
+            ds = random_model(rng, m, n)
             q = random_query(rng, m, n, kmax=1, variant="xy")
             eng = bound(ds, q).interval
             lp = tight_bounds(ds, q)

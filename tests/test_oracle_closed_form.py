@@ -12,7 +12,7 @@ import pytest
 
 from pocbounds.engine import ZeroEvidenceProbability
 from pocbounds.model import dataset_from_counts
-from pocbounds.oracle import Infeasible, _exact_bounds, tight_bounds
+from pocbounds.oracle import Infeasible, _exact_bounds
 from pocbounds.queryir import EXACT, STANDARD, ZERO, CounterfactualTerm, Query, canonicalize
 
 from arm_lp_reference import arm_lp_bounds
@@ -140,12 +140,12 @@ def test_pushed_cell_is_infeasible_exactly_when_feasible_is_false():
         assert arm_lp_bounds(ds, cq)[0] == ("optimal" if ok else "infeasible")
         if ok:
             try:
-                tight_bounds(ds, cq)
+                _exact_bounds(ds, cq)
             except ZeroEvidenceProbability:
                 pass
         else:
             with pytest.raises(Infeasible) as exc:
-                tight_bounds(ds, cq)
+                _exact_bounds(ds, cq)
             assert f"P(y{i + 1} | do x{j + 1}) = " in str(exc.value)
             assert f" < P(x{j + 1}, y{i + 1}) = " in str(exc.value)
         outcomes.append(ok)

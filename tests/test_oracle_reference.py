@@ -11,10 +11,11 @@ import pytest
 from pocbounds.cli import _REPRODUCE_BOUNDS, fixture_path
 from pocbounds.engine import ZeroEvidenceProbability
 from pocbounds.model import dataset_from_counts, load_dataset
-from pocbounds.oracle import Infeasible, _exact_bounds, _to_canonical
-from pocbounds.queryir import EXACT, STANDARD, ZERO, canonicalize
+from pocbounds.oracle import Infeasible, _exact_bounds
+from pocbounds.queryir import EXACT, STANDARD, ZERO, canonicalize, parse_query
+from pocbounds.simgen import counts_from_masses, random_model
 
-from conftest import FORMS, counts_from_masses, draw_kind, random_feasible_dataset
+from conftest import FORMS, draw_kind
 from lp_reference import reference_bounds, reference_feasible
 
 SIZES = ((2, 2), (2, 3), (3, 2), (3, 3))
@@ -24,7 +25,7 @@ SIZES = ((2, 2), (2, 3), (3, 2), (3, 3))
 def test_published_queries_match_reference(example):
     ds = load_dataset(fixture_path(example))
     for text, _, _ in _REPRODUCE_BOUNDS[example]:
-        cq = _to_canonical(ds, text)
+        cq = canonicalize(parse_query(text, ds.space))
         assert _exact_bounds(ds, cq) == reference_bounds(ds, cq), text
 
 
@@ -37,7 +38,7 @@ def test_random_queries_match_reference():
         kinds = (STANDARD, ZERO, EXACT) if form not in ("plain", "y") else (STANDARD, ZERO)
         kind = kinds[(idx // len(FORMS)) % len(kinds)]
         m, n = rng.choice(SIZES)
-        ds = random_feasible_dataset(rng, m, n)
+        ds = random_model(rng, m, n)
         cq = canonicalize(draw_kind(rng, m, n, form, kind))
         try:
             got = _exact_bounds(ds, cq)

@@ -17,8 +17,8 @@ from pocbounds.queryir import (
     format_query,
     parse_query,
 )
+from pocbounds.simgen import counts_from_masses
 
-from conftest import counts_from_masses
 from lp_reference import reference_feasible
 
 import pytest

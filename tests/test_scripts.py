@@ -1,0 +1,25 @@
+"""The scripts that draw random models from `pocbounds.simgen` run end to end."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, str(ROOT / "scripts" / script), *args]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_validate_against_oracle():
+    out = _run("validate_against_oracle.py", "--cases", "40")
+    assert out.returncode == 0, out.stderr
+    assert "containment: OK" in out.stdout.splitlines()
+
+
+def test_oracle_timings():
+    out = _run("oracle_timings.py")
+    assert out.returncode == 0, out.stderr

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from pocbounds.simgen import (
     QUERY,
     SimulationRecord,
     SimulationSummary,
+    counts_from_masses,
     export_csv,
     generate_sample,
+    random_model,
     run_simulation,
     write_csv,
 )
@@ -18,6 +21,20 @@ from pocbounds.simgen import (
 
 def rng_for(seed, idx):
     return np.random.default_rng(np.random.SeedSequence([seed, idx]))
+
+
+class TestRandomModels:
+    def test_counts_from_masses(self):
+        # types (y1,y1), (y1,y2), (y2,y1), (y2,y2); a row is its mass under x1, x2
+        exp, obs = counts_from_masses([[1, 0], [0, 2], [3, 0], [0, 0]], 2, 2)
+        assert (exp, obs) == ([[3, 3], [4, 2]], [[1, 3], [0, 2]])
+        with pytest.raises(ValueError):
+            counts_from_masses([[1, 0]] * 3, 2, 2)
+
+    def test_random_models_are_consistent(self):
+        rng = random.Random(0)
+        for m, n in ((2, 2), (3, 3), (4, 2)):
+            assert all(random_model(rng, m, n).validation.ok for _ in range(20))
 
 
 class TestModelDraw:
