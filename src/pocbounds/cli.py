@@ -78,8 +78,8 @@ def fixture_path(name: str) -> Path:
     return Path(str(resources.files("pocbounds") / "fixtures" / f"{name}.json"))
 
 
-def _fmt(interval: Interval, digits: int = 6) -> str:
-    return f"[{interval.lo:.{digits}f}, {interval.hi:.{digits}f}]"
+def _fmt(interval: Interval) -> str:
+    return f"[{interval.lo:.6f}, {interval.hi:.6f}]"
 
 
 def _print_violations(dataset: Dataset, out) -> None:

@@ -9,7 +9,9 @@ clamped bounds of its subqueries, each evaluated once per call and cached on
 its canonical key, so `stats_evaluated` is the number of distinct subqueries.
 
 Traces record every candidate value before clamping (lower-bound branches go
-negative routinely), which branch won, and the child subquery traces.
+negative routinely), which branch won, and the child subquery traces. The
+candidate values live on the BoundTrace records only: to_json, and so
+`bound --trace`, prints the winning branches and the clamped ends.
 Conditional queries trace the joint event; the result interval is the joint
 interval divided by the evidence probability.
 
@@ -65,6 +67,7 @@ from .queryir import (
     UnsupportedQuery,
     canonicalize,
     parse_query,
+    restrict_to_arm,
     subquery_label,
     validate_indices,
 )
@@ -91,8 +94,9 @@ class NotBinary(ValueError):
 class BoundTrace(NamedTuple):
     """One derivation node: which theorem ran and which branches won.
 
-    Candidate lists keep the raw branch values before clamping, so the
-    arithmetic (including negative lower-bound candidates) stays visible.
+    Candidate lists keep the raw branch values before clamping, negative
+    lower-bound candidates included. to_json leaves them out: it gives the
+    winning branches, the clamped ends and the children.
     """
 
     query: str
@@ -297,22 +301,16 @@ class _Evaluator:
     def _decomp(self, terms, q, children):
         """Law of total probability over X, with observed outcome y_q or none.
 
-        Each summand pins one treatment arm. A term on that arm collapses into
-        evidence; with an observed y_q it contributes only when its outcome is
-        y_q, since otherwise the summand event is impossible (the arm's world
-        is the actual one) and adds 0.
+        Each summand pins one treatment arm, and restrict_to_arm gives its
+        event: a term on that arm collapses into evidence, and a summand whose
+        event is impossible adds 0.
         """
         dec_lo = dec_hi = 0.0
-        by_treatment = {t.treatment: t for t in terms}
         for p in range(1, self.ds.space.m + 1):
-            match = by_treatment.get(p)
-            if match is None:
-                sub_iv, sub_tr = self.eval(terms, p, q)
-            elif q is None or match.outcome == q:
-                rest = tuple(t for t in terms if t.treatment != p)
-                sub_iv, sub_tr = self.eval(rest, p, match.outcome)
-            else:
+            arm = restrict_to_arm(terms, p, q)
+            if arm is None:
                 continue
+            sub_iv, sub_tr = self.eval(arm[0], p, arm[1])
             children.append(sub_tr)
             dec_lo += sub_iv.lo
             dec_hi += sub_iv.hi

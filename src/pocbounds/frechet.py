@@ -58,11 +58,11 @@ class Interval(NamedTuple):
     def midpoint(self) -> float:
         return (self.lo + self.hi) / 2.0
 
-    def contains(self, value: float, eps: float = EPS_NUM) -> bool:
-        return self.lo - eps <= value <= self.hi + eps
+    def contains(self, value: float) -> bool:
+        return self.lo - EPS_NUM <= value <= self.hi + EPS_NUM
 
-    def contains_interval(self, other: "Interval", eps: float = EPS_NUM) -> bool:
-        return self.lo - eps <= other.lo and other.hi <= self.hi + eps
+    def contains_interval(self, other: "Interval") -> bool:
+        return self.lo - EPS_NUM <= other.lo and other.hi <= self.hi + EPS_NUM
 
     def scaled_by(self, divisor: float) -> "Interval":
         """Divide both ends by an evidence probability and re-clamp.

@@ -100,11 +100,6 @@ class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
-    @classmethod
-    def from_violations(cls, violations: Sequence[Violation]) -> "ValidationReport":
-        vs = tuple(violations)
-        return cls(ok=not vs, violations=vs)
-
 
 class _Table:
     """Integer numerators over denominators, read-only once built.
@@ -227,41 +222,6 @@ def _check_shape(matrix: Sequence[Sequence], space: ProblemSpace | None, what: s
     return rows, n
 
 
-def _check_counts(counts: Sequence[Sequence], what: str):
-    for j, row in enumerate(counts, start=1):
-        for i, c in enumerate(row, start=1):
-            if isinstance(c, bool) or not isinstance(c, Integral) or c < 0:
-                raise DataError(
-                    f"{what} must be nonnegative integers, got {c!r} at (x{j}, y{i})"
-                )
-
-
-def _check_probs(probs: Sequence[Sequence], what: str):
-    for j, row in enumerate(probs, start=1):
-        for i, v in enumerate(row, start=1):
-            if isinstance(v, bool) or not isinstance(v, Real):
-                raise DataError(f"{what} must be numbers, got {v!r} at (x{j}, y{i})")
-            if not (-EPS_PROBS <= v <= 1.0 + EPS_PROBS):
-                raise DataError(f"{what} must lie in [0,1], got {v!r} at (x{j}, y{i})")
-
-
-def _exp_from_counts(counts) -> ExperimentalDistribution:
-    num = tuple(tuple(int(c) for c in row) for row in counts)
-    den = tuple(sum(row) for row in num)
-    for j, total in enumerate(den, start=1):
-        if total <= 0:
-            raise ZeroRowTotal(f"experimental row for x{j} has zero total")
-    return ExperimentalDistribution(num, den)
-
-
-def _obs_from_counts(counts) -> ObservationalDistribution:
-    num = tuple(tuple(int(c) for c in row) for row in counts)
-    grand = sum(map(sum, num))
-    if grand <= 0:
-        raise ZeroGrandTotal("observational counts have zero grand total")
-    return ObservationalDistribution(num, grand)
-
-
 def _lift(v: float) -> tuple[int, int]:
     """The closest rational p/q to max(0, v) with q <= _FLOAT_DENOMINATOR_LIMIT.
 
@@ -296,46 +256,77 @@ def _lift(v: float) -> tuple[int, int]:
     return p0 + k * p1, q0 + k * q1
 
 
-def _scaled(values: Sequence[float]) -> tuple[list[int], int]:
-    """Lift values to rationals and write them as integers over their lcm.
+def _over_lcm(lifted: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Write lifted (p, q) values as integers over the lcm of their q.
 
-    Returns (integers, lcm); integers[k] / lcm == p/q for (p, q) =
-    _lift(values[k]) exactly, so each renormalized value integers[k] /
-    sum(integers) equals the lifted value over the lifted sum. All of it is
-    int arithmetic; no Fraction is built.
+    Returns (integers, lcm) with integers[k] / lcm == p/q exactly, so each
+    renormalized value integers[k] / sum(integers) equals the lifted value
+    over the lifted sum. All of it is int arithmetic; no Fraction is built.
     """
-    lifted = [_lift(v) for v in values]
     scale = math.lcm(*(q for _, q in lifted))
     return [p * (scale // q) for p, q in lifted], scale
 
 
-def _exp_from_probs(probs) -> ExperimentalDistribution:
+def _cells(table, counts: bool, side: str) -> list[list]:
+    """Check and convert every cell: a count to int, a probability by _lift."""
+    what = f"{side} counts" if counts else f"{side} probabilities"
+    rows = []
+    for j, row in enumerate(table, start=1):
+        cells = []
+        for i, v in enumerate(row, start=1):
+            if isinstance(v, bool) or not isinstance(v, Integral if counts else Real):
+                rule = "be nonnegative integers" if counts else "be numbers"
+            elif counts:
+                rule = None if v >= 0 else "be nonnegative integers"
+            else:
+                rule = None if -EPS_PROBS <= v <= 1.0 + EPS_PROBS else "lie in [0,1]"
+            if rule:
+                raise DataError(f"{what} must {rule}, got {v!r} at (x{j}, y{i})")
+            cells.append(int(v) if counts else _lift(v))
+        rows.append(cells)
+    return rows
+
+
+def _experimental(table, counts: bool) -> ExperimentalDistribution:
+    """Each row over its own total; a probability row must sum to 1 within EPS_PROBS."""
     num, den = [], []
-    for j, row in enumerate(probs, start=1):
-        ints, scale = _scaled(row)
+    for j, row in enumerate(_cells(table, counts, "experimental"), start=1):
+        ints, scale = (row, 1) if counts else _over_lcm(row)
         total = sum(ints)
-        if abs(total / scale - 1.0) > EPS_PROBS:
+        if counts and total <= 0:
+            raise ZeroRowTotal(f"experimental row for x{j} has zero total")
+        if not counts and abs(total / scale - 1.0) > EPS_PROBS:
             raise DataError(f"experimental row for x{j} sums to {total / scale}, expected 1")
-        # Renormalize exactly so downstream equality constraints are feasible.
         num.append(tuple(ints))
         den.append(total)
     return ExperimentalDistribution(tuple(num), tuple(den))
 
 
-def _obs_from_probs(probs) -> ObservationalDistribution:
-    n = len(probs[0])
-    ints, scale = _scaled([v for row in probs for v in row])
+def _observational(table, counts: bool) -> ObservationalDistribution:
+    """Every cell over the grand total, checked as _experimental checks a row."""
+    rows = _cells(table, counts, "observational")
+    flat = [c for row in rows for c in row]
+    ints, scale = (flat, 1) if counts else _over_lcm(flat)
     grand = sum(ints)
-    if abs(grand / scale - 1.0) > EPS_PROBS:
+    if counts and grand <= 0:
+        raise ZeroGrandTotal("observational counts have zero grand total")
+    if not counts and abs(grand / scale - 1.0) > EPS_PROBS:
         raise DataError(f"observational table sums to {grand / scale}, expected 1")
+    n = len(rows[0])
     num = tuple(tuple(ints[k : k + n]) for k in range(0, len(ints), n))
     return ObservationalDistribution(num, grand)
 
 
-def _build_report(
-    exp: ExperimentalDistribution, obs: ObservationalDistribution
-) -> ValidationReport:
-    """Check P(x_j, y_i) <= P(y_i | do x_j) in every cell.
+def _ingest(
+    exp_table, obs_table, exp_counts: bool, obs_counts: bool, space: ProblemSpace | None = None
+) -> Dataset:
+    """The one ingest pipeline behind the three public builders.
+
+    Shapes first: with a space (JSON) each table must match it, without one
+    the two tables must agree. Then each table is checked and converted, the
+    experimental one first, every cell before any total; a space built from
+    the shapes comes last. The report checks P(x_j, y_i) <= P(y_i | do x_j)
+    in every cell.
 
     The check is exact: both sides are cross-multiplied over
     exp.den[j] * obs.den and compared as integers. The data admit a joint
@@ -348,19 +339,25 @@ def _build_report(
     a cell over its upper end leaves less than nothing for the rest of its
     row, and another cell of that row fails the lower check.
     """
-    violations: list[Violation] = []
+    if space is None:
+        form = "counts" if exp_counts else "probs"
+        m, n = _check_shape(exp_table, None, f"experimental {form}")
+        m2, n2 = _check_shape(obs_table, None, f"observational {form}")
+        if (m, n) != (m2, n2):
+            raise ShapeMismatch(f"experimental {m}x{n} vs observational {m2}x{n2}")
+    else:
+        _check_shape(exp_table, space, "experimental table")
+        _check_shape(obs_table, space, "observational table")
+    exp = _experimental(exp_table, exp_counts)
+    obs = _observational(obs_table, obs_counts)
+    violations = []
     for j, (do_row, xy_row, d) in enumerate(zip(exp.num, obs.num, exp.den), start=1):
         for i, (do, xy) in enumerate(zip(do_row, xy_row), start=1):
             gap = xy * d - do * obs.den
             if gap > 0:
                 violations.append(Violation(j, i, gap / (d * obs.den)))
-    return ValidationReport.from_violations(violations)
-
-
-def _assemble(
-    exp: ExperimentalDistribution, obs: ObservationalDistribution, space: ProblemSpace
-) -> Dataset:
-    return Dataset(space, exp, obs, _build_report(exp, obs))
+    report = ValidationReport(not violations, tuple(violations))
+    return Dataset(space or ProblemSpace(m, n), exp, obs, report)
 
 
 def dataset_from_counts(
@@ -373,17 +370,7 @@ def dataset_from_counts(
     converted to float once, so count tables reproduce to full precision
     regardless of parse order.
     """
-    m, n = _check_shape(exp_counts, None, "experimental counts")
-    m2, n2 = _check_shape(obs_counts, None, "observational counts")
-    if (m, n) != (m2, n2):
-        raise ShapeMismatch(f"experimental {m}x{n} vs observational {m2}x{n2}")
-    _check_counts(exp_counts, "experimental counts")
-    _check_counts(obs_counts, "observational counts")
-    return _assemble(
-        _exp_from_counts(exp_counts),
-        _obs_from_counts(obs_counts),
-        ProblemSpace(m, n),
-    )
+    return _ingest(exp_counts, obs_counts, True, True)
 
 
 def dataset_from_probs(
@@ -395,17 +382,7 @@ def dataset_from_probs(
     exactly, so the sum constraints hold with equality downstream; tables off
     by more than EPS_PROBS are rejected instead.
     """
-    m, n = _check_shape(exp_probs, None, "experimental probs")
-    m2, n2 = _check_shape(obs_probs, None, "observational probs")
-    if (m, n) != (m2, n2):
-        raise ShapeMismatch(f"experimental {m}x{n} vs observational {m2}x{n2}")
-    _check_probs(exp_probs, "experimental probabilities")
-    _check_probs(obs_probs, "observational probabilities")
-    return _assemble(
-        _exp_from_probs(exp_probs),
-        _obs_from_probs(obs_probs),
-        ProblemSpace(m, n),
-    )
+    return _ingest(exp_probs, obs_probs, False, False)
 
 
 def dataset_from_json(doc: dict) -> Dataset:
@@ -431,25 +408,11 @@ def dataset_from_json(doc: dict) -> Dataset:
         present = [k for k in (counts_key, probs_key) if k in doc]
         if len(present) != 1:
             raise DataError(f'need exactly one of "{counts_key}" or "{probs_key}"')
-        return present[0].endswith("counts"), doc[present[0]]
+        return doc[present[0]], present[0] == counts_key
 
-    exp_is_counts, exp_val = pick("experimental")
-    obs_is_counts, obs_val = pick("observational")
-    _check_shape(exp_val, space, "experimental table")
-    _check_shape(obs_val, space, "observational table")
-    if exp_is_counts:
-        _check_counts(exp_val, "experimental counts")
-        exp = _exp_from_counts(exp_val)
-    else:
-        _check_probs(exp_val, "experimental probabilities")
-        exp = _exp_from_probs(exp_val)
-    if obs_is_counts:
-        _check_counts(obs_val, "observational counts")
-        obs = _obs_from_counts(obs_val)
-    else:
-        _check_probs(obs_val, "observational probabilities")
-        obs = _obs_from_probs(obs_val)
-    return _assemble(exp, obs, space)
+    exp_table, exp_counts = pick("experimental")
+    obs_table, obs_counts = pick("observational")
+    return _ingest(exp_table, obs_table, exp_counts, obs_counts, space)
 
 
 def load_dataset(path: str | Path) -> Dataset:

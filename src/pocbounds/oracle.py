@@ -50,32 +50,20 @@ from fractions import Fraction
 
 from .frechet import Interval, make_interval
 from .model import Dataset
-from .queryir import ZERO, CanonicalQuery, Query, canonicalize, parse_query, validate_indices
+from .queryir import (
+    ZERO,
+    CanonicalQuery,
+    Query,
+    canonicalize,
+    parse_query,
+    restrict_to_arm,
+    validate_indices,
+)
 from .engine import ZeroEvidenceProbability, _evidence_label
 
 
 class Infeasible(ValueError):
     """The data admit no joint response-type distribution."""
-
-
-def _arm_events(cq: CanonicalQuery, c: int):
-    """The query's events in arm x_c, or None when the arm contributes 0.
-
-    Returns the marginals (j, y) of the terms on other treatments, and the
-    outcome the arm must have observed (None when unconstrained).
-    """
-    if cq.evidence_x is not None and cq.evidence_x != c:
-        return None
-    observed = cq.evidence_y
-    cross = []
-    for term in cq.terms:
-        if term.treatment != c:
-            cross.append((term.treatment, term.outcome))
-        elif observed is not None and observed != term.outcome:
-            return None
-        else:
-            observed = term.outcome
-    return cross, observed
 
 
 def _exact_divisor(dataset: Dataset, ex, ey) -> Fraction:
@@ -94,8 +82,8 @@ def _closed_form(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fracti
     d = {j: exp.exact_do(j, y) - obs.exact_joint(j, y) for j, y in cq.terms}
     cap, theta = {}, {}
     for c in arms:
-        events = _arm_events(cq, c)
-        if events is None:
+        events = restrict_to_arm(cq.terms, c, cq.evidence_y)
+        if events is None or cq.evidence_x not in (None, c):
             continue
         cross, observed = events
         if observed is None:

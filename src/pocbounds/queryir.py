@@ -213,14 +213,33 @@ def validate_indices(query: Query, space: ProblemSpace) -> None:
         raise IndexOutOfRange(f"y{query.evidence_y} out of range (n={space.n})")
 
 
+def restrict_to_arm(terms, arm: int, observed: int | None):
+    """The event in treatment arm x_arm, as (other terms, observed outcome).
+
+    In arm x_arm the world under do(x_arm) is the actual one, so a term on
+    x_arm is the observed outcome: it must agree with an observed y, and then
+    takes its place. Returns None when it disagrees (the event is impossible
+    in this arm). The other terms keep their order.
+    """
+    rest = []
+    for t in terms:
+        if t.treatment != arm:
+            rest.append(t)
+        elif observed is not None and observed != t.outcome:
+            return None
+        else:
+            observed = t.outcome
+    return tuple(rest), observed
+
+
 def canonicalize(query: Query) -> CanonicalQuery:
     """Normalize a query before the engine sees it.
 
     Duplicate terms are merged; two terms assigning different outcomes to the
     same treatment make the event impossible; a term whose treatment equals
     the evidence treatment is absorbed into observational evidence by the
-    consistency rule (or kills the event if the evidence outcome disagrees);
-    remaining terms are sorted by treatment.
+    consistency rule of restrict_to_arm (or kills the event if the evidence
+    outcome disagrees); remaining terms are sorted by treatment.
     """
     divisor_x = query.evidence_x if query.conditional else None
     divisor_y = query.evidence_y if query.conditional else None
@@ -239,16 +258,13 @@ def canonicalize(query: Query) -> CanonicalQuery:
         if kept.outcome != t.outcome:
             # Y under do(x_j) is a single value; it cannot be two outcomes.
             return zero()
-    ex = query.evidence_x
-    ey = query.evidence_y
-    if ex is not None and ex in by_treatment:
-        absorbed = by_treatment.pop(ex)
-        if ey is not None and ey != absorbed.outcome:
-            # Evidence X = x_j makes the term's world the actual one, so the
-            # observed outcome must match the term's outcome.
-            return zero()
-        ey = absorbed.outcome
     remaining = tuple(sorted(by_treatment.values()))
+    ex, ey = query.evidence_x, query.evidence_y
+    if ex is not None:
+        arm = restrict_to_arm(remaining, ex, ey)
+        if arm is None:
+            return zero()
+        remaining, ey = arm
     if not remaining:
         return CanonicalQuery(
             EXACT,

@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from pocbounds.model import Dataset
-from pocbounds.oracle import _arm_events
-from pocbounds.queryir import ZERO, CanonicalQuery
+from pocbounds.queryir import ZERO, CanonicalQuery, restrict_to_arm
 
 _MAX_PIVOTS = 50_000
 # Dantzig pivoting is fast but can cycle; fall back to Bland's rule, which
@@ -59,8 +58,8 @@ def _arm_lp(dataset: Dataset, cq: CanonicalQuery, maximize: bool):
     objective: dict[int, int] = {}
     arms = range(1, m + 1) if cq.kind != ZERO else ()
     for c in arms:
-        events = _arm_events(cq, c)
-        if events is None:
+        events = restrict_to_arm(cq.terms, c, cq.evidence_y)
+        if events is None or cq.evidence_x not in (None, c):
             continue
         cross, observed = events
         aux = len(names)

@@ -19,7 +19,7 @@ from pocbounds.model import (
     dataset_from_probs,
     load_dataset,
     _lift,
-    _scaled,
+    _over_lcm,
 )
 
 EXP_2x2 = [[6, 4], [3, 7]]
@@ -355,7 +355,7 @@ class TestLift:
 
     def test_scaled_is_exact(self):
         values = [0.1, 0.2, 1 / 3, 0.37]
-        ints, scale = _scaled(values)
+        ints, scale = _over_lcm([_lift(v) for v in values])
         assert [Fraction(c, scale) for c in ints] == [stdlib_lift(v) for v in values]
 
 
@@ -426,3 +426,123 @@ class TestMalformedCells:
     def test_table_not_a_list(self):
         with pytest.raises(DataError, match="observational counts"):
             dataset_from_counts(EXP_2x2, 5)
+
+
+P_EXP_2x2 = [[0.6, 0.4], [0.3, 0.7]]
+P_OBS_2x2 = [[0.3, 0.1], [0.2, 0.4]]
+
+
+def _json_builder(form):
+    def build(exp, obs):
+        return dataset_from_json(
+            {
+                "treatments": ["x1", "x2"],
+                "outcomes": ["y1", "y2"],
+                f"experimental_{form}": exp,
+                f"observational_{form}": obs,
+            }
+        )
+
+    return build
+
+
+_BUILDERS = {
+    "counts": dataset_from_counts,
+    "probs": dataset_from_probs,
+    "json counts": _json_builder("counts"),
+    "json probs": _json_builder("probs"),
+}
+
+# (builder, experimental table, observational table, exception, message prefix):
+# each malformed input through every builder that accepts its form. The JSON
+# document declares a 2x2 space, so its shape errors name the expected size.
+_INGEST_ERRORS = [
+    # ragged rows
+    ("counts", [[6, 4], [3]], OBS_2x2, ShapeMismatch, "experimental counts: ragged rows [1, 2]"),
+    ("json counts", [[6, 4], [3]], OBS_2x2, ShapeMismatch, "experimental table: ragged rows [1, 2]"),
+    ("probs", P_EXP_2x2, [[0.3], [0.2, 0.4]], ShapeMismatch, "observational probs: ragged rows [1, 2]"),
+    ("json probs", P_EXP_2x2, [[0.3], [0.2, 0.4]], ShapeMismatch, "observational table: ragged rows [1, 2]"),
+    # a table or a row that is not a list
+    ("counts", 5, OBS_2x2, ShapeMismatch, "experimental counts: expected a list of rows, got 5"),
+    ("json counts", 5, OBS_2x2, ShapeMismatch, "experimental table: expected a list of rows, got 5"),
+    ("counts", [], OBS_2x2, ShapeMismatch, "experimental counts: empty matrix"),
+    ("counts", EXP_2x2, [[3, 1], 5], ShapeMismatch, "observational counts: row x2 must be a list of cells, got 5"),
+    ("json counts", EXP_2x2, [[3, 1], 5], ShapeMismatch, "observational table: row x2 must be a list of cells, got 5"),
+    ("probs", ["ab", [0.3, 0.7]], P_OBS_2x2, ShapeMismatch, "experimental probs: row x1 must be a list of cells, got 'ab'"),
+    ("json probs", ["ab", [0.3, 0.7]], P_OBS_2x2, ShapeMismatch, "experimental table: row x1 must be a list of cells, got 'ab'"),
+    # bad or negative count cells
+    ("counts", [[6, "4"], [3, 7]], OBS_2x2, DataError, "experimental counts must be nonnegative integers, got '4' at (x1, y2)"),
+    ("json counts", [[6, "4"], [3, 7]], OBS_2x2, DataError, "experimental counts must be nonnegative integers, got '4' at (x1, y2)"),
+    ("counts", [[6, 4], [3, 7.0]], OBS_2x2, DataError, "experimental counts must be nonnegative integers, got 7.0 at (x2, y2)"),
+    ("counts", EXP_2x2, [[3, True], [2, 4]], DataError, "observational counts must be nonnegative integers, got True at (x1, y2)"),
+    ("counts", EXP_2x2, [[3, 1], [-2, 4]], DataError, "observational counts must be nonnegative integers, got -2 at (x2, y1)"),
+    ("json counts", EXP_2x2, [[3, 1], [-2, 4]], DataError, "observational counts must be nonnegative integers, got -2 at (x2, y1)"),
+    # bad or out-of-range probability cells
+    ("probs", [[0.6, None], [0.3, 0.7]], P_OBS_2x2, DataError, "experimental probabilities must be numbers, got None at (x1, y2)"),
+    ("json probs", [[0.6, None], [0.3, 0.7]], P_OBS_2x2, DataError, "experimental probabilities must be numbers, got None at (x1, y2)"),
+    ("probs", P_EXP_2x2, [[0.3, 0.1], [False, 0.4]], DataError, "observational probabilities must be numbers, got False at (x2, y1)"),
+    ("probs", [[1.2, -0.2], [0.3, 0.7]], P_OBS_2x2, DataError, "experimental probabilities must lie in [0,1], got 1.2 at (x1, y1)"),
+    ("json probs", [[1.2, -0.2], [0.3, 0.7]], P_OBS_2x2, DataError, "experimental probabilities must lie in [0,1], got 1.2 at (x1, y1)"),
+    ("probs", P_EXP_2x2, [[0.3, 0.1], [0.2, -0.4]], DataError, "observational probabilities must lie in [0,1], got -0.4 at (x2, y2)"),
+    # a zero row or grand total
+    ("counts", [[6, 4], [0, 0]], OBS_2x2, ZeroRowTotal, "experimental row for x2 has zero total"),
+    ("json counts", [[6, 4], [0, 0]], OBS_2x2, ZeroRowTotal, "experimental row for x2 has zero total"),
+    ("counts", EXP_2x2, [[0, 0], [0, 0]], ZeroGrandTotal, "observational counts have zero grand total"),
+    ("json counts", EXP_2x2, [[0, 0], [0, 0]], ZeroGrandTotal, "observational counts have zero grand total"),
+    # a bad row or table sum
+    ("probs", [[0.6, 0.5], [0.3, 0.7]], P_OBS_2x2, DataError, "experimental row for x1 sums to 1.1"),
+    ("json probs", [[0.6, 0.5], [0.3, 0.7]], P_OBS_2x2, DataError, "experimental row for x1 sums to 1.1"),
+    ("probs", [[0.6, 0.4], [0.0, 0.0]], P_OBS_2x2, DataError, "experimental row for x2 sums to 0.0, expected 1"),
+    ("probs", P_EXP_2x2, [[0.3, 0.3], [0.2, 0.4]], DataError, "observational table sums to 1.2"),
+    ("json probs", P_EXP_2x2, [[0.3, 0.3], [0.2, 0.4]], DataError, "observational table sums to 1.2"),
+    # an m x n mismatch
+    ("counts", EXP_2x2, [[1, 2, 3], [4, 5, 6]], ShapeMismatch, "experimental 2x2 vs observational 2x3"),
+    ("probs", [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]], P_OBS_2x2, ShapeMismatch, "experimental 3x2 vs observational 2x2"),
+    ("json counts", EXP_2x2, [[1, 2, 3], [4, 5, 6]], ShapeMismatch, "observational table: expected 2x2, got 2x3"),
+    ("json probs", [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]], P_OBS_2x2, ShapeMismatch, "experimental table: expected 2x2, got 3x2"),
+    # a single-row or single-column table passes the shape checks; the space rejects it
+    ("counts", [[6, 4]], [[3, 1]], DataError, "need at least two values per axis, got m=1, n=2"),
+    # malformed in two ways: the shape is checked before any cell, and every
+    # cell of a table before its totals
+    ("counts", [[-1, 4], [3]], OBS_2x2, ShapeMismatch, "experimental counts: ragged rows"),
+    ("probs", [[2.0, 0.4], [0.3, 0.7]], [[0.3, 0.1, 0.1], [0.2, 0.4, 0.1]], ShapeMismatch, "experimental 2x2 vs observational 2x3"),
+    ("counts", [[0, 0], [3, -7]], OBS_2x2, DataError, "experimental counts must be nonnegative integers, got -7 at (x2, y2)"),
+    ("probs", [[0.6, 0.5], [0.3, 1.7]], P_OBS_2x2, DataError, "experimental probabilities must lie in [0,1], got 1.7 at (x2, y2)"),
+]
+
+
+@pytest.mark.parametrize("builder, exp, obs, error, prefix", _INGEST_ERRORS)
+def test_ingest_error(builder, exp, obs, error, prefix):
+    with pytest.raises(error) as info:
+        _BUILDERS[builder](exp, obs)
+    assert type(info.value) is error
+    assert str(info.value).startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "doc, prefix",
+    [
+        ([], "dataset document must be a JSON object"),
+        ({"treatments": ["x1", "x2"], "outcomes": "y1"}, 'dataset needs a "outcomes" list of strings'),
+        ({"treatments": ["x1", "x1"], "outcomes": ["y1", "y2"]}, "treatment labels must be unique"),
+        (
+            {"treatments": ["x1", "x2"], "outcomes": ["y1", "y2"], "observational_counts": OBS_2x2},
+            'need exactly one of "experimental_counts" or "experimental_probs"',
+        ),
+        (
+            {
+                "treatments": ["x1", "x2"],
+                "outcomes": ["y1", "y2"],
+                "experimental_counts": EXP_2x2,
+                "observational_counts": OBS_2x2,
+                "observational_probs": P_OBS_2x2,
+            },
+            'need exactly one of "observational_counts" or "observational_probs"',
+        ),
+    ],
+)
+def test_json_document_error(doc, prefix):
+    with pytest.raises(DataError) as info:
+        dataset_from_json(doc)
+    assert type(info.value) is DataError
+    assert str(info.value).startswith(prefix)

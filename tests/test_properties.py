@@ -164,7 +164,7 @@ class TestOracleInvariants:
         q = data.draw(queries(m, n))
         eng = bound(ds, q).interval
         lp = tight_bounds(ds, q)
-        assert eng.contains_interval(lp, eps=1e-9)
+        assert eng.contains_interval(lp)
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=mass_cases(sizes=((2, 2), (2, 3))), data=st.data())

@@ -23,3 +23,10 @@ def test_validate_against_oracle():
 def test_oracle_timings():
     out = _run("oracle_timings.py")
     assert out.returncode == 0, out.stderr
+
+
+def test_run_simulation(tmp_path):
+    csv = tmp_path / "sim.csv"
+    out = _run("run_simulation.py", "--samples", "20", "--out", str(csv))
+    assert out.returncode == 0, out.stderr
+    assert len(csv.read_text(encoding="utf-8").splitlines()) == 21
