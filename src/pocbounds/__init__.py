@@ -11,8 +11,6 @@ from .frechet import InfeasibleInterval, Interval, make_interval
 from .model import (
     DataError,
     Dataset,
-    ExperimentalDistribution,
-    ObservationalDistribution,
     ProblemSpace,
     ShapeMismatch,
     ValidationReport,
@@ -63,13 +61,11 @@ __all__ = [
     "CounterfactualTerm",
     "DataError",
     "Dataset",
-    "ExperimentalDistribution",
     "IndexOutOfRange",
     "Infeasible",
     "InfeasibleInterval",
     "Interval",
     "NotBinary",
-    "ObservationalDistribution",
     "ProblemSpace",
     "Query",
     "QuerySyntaxError",

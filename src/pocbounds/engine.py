@@ -3,7 +3,8 @@
 The evaluator walks a canonical query through eight theorem dispatchers:
 four closed forms for a single counterfactual term (joint with an observed
 outcome, an observed treatment, or both) and four recursive forms for
-conjunctions of terms. Every theorem is a max over lower-bound candidates
+conjunctions of terms. An event with no term left, observed evidence only,
+is a point leaf. Every theorem is a max over lower-bound candidates
 against a min over upper-bound candidates; the recursion consumes the final
 clamped bounds of its subqueries, each evaluated once per call and cached on
 its canonical key, so `stats_evaluated` is the number of distinct subqueries.
@@ -58,11 +59,7 @@ from typing import NamedTuple
 from .frechet import EPS_NUM, InfeasibleInterval, Interval, make_interval
 from .model import Dataset
 from .queryir import (
-    EXACT,
-    STANDARD,
     ZERO,
-    CanonicalQuery,
-    CounterfactualTerm,
     Query,
     UnsupportedQuery,
     canonicalize,
@@ -142,6 +139,8 @@ class _Evaluator:
         return hit
 
     def _dispatch(self, terms, ex, ey):
+        if not terms:
+            return self._evidence_point(ex, ey)
         if len(terms) == 1:
             term = terms[0]
             if ex is None and ey is None:
@@ -188,6 +187,11 @@ class _Evaluator:
         v = self.ds.p_do(t.treatment, t.outcome)
         label = f"P(y{t.outcome}_x{t.treatment})"
         return self._node((t,), None, None, "Exact", [(label, v)], [(label, v)], ())
+
+    def _evidence_point(self, ex, ey):
+        v = self.ds.p_evidence(ex, ey)
+        label = _evidence_label(ex, ey)
+        return self._node((), ex, ey, "Exact", [(label, v)], [(label, v)], ())
 
     def _t1(self, t):
         # P(y_i under x_j, joint with observed Y = y_i)
@@ -276,7 +280,7 @@ class _Evaluator:
     def _evidence_node(self, terms, ex, ey, theorem):
         """T6-T8: k terms jointly with observed x_p, y_q, or both."""
         pes = [self.ds.p_do(t.treatment, t.outcome) for t in terms]
-        p_ev = _evidence_prob(self.ds, ex, ey)
+        p_ev = self.ds.p_evidence(ex, ey)
         frechet = sum(pes) + p_ev - len(terms)
         children = []
         lower = [("0", 0.0), ("frechet", frechet)]
@@ -346,24 +350,22 @@ def _evidence_label(ex, ey) -> str:
     return f"P(y{ey})"
 
 
-def _evidence_prob(dataset: Dataset, ex, ey) -> float:
-    if ex is not None and ey is not None:
-        return dataset.p_joint(ex, ey)
-    if ex is not None:
-        return dataset.p_x(ex)
-    return dataset.p_y(ey)
+def _evidence_divisor(dataset: Dataset, ex, ey) -> float:
+    """P(x_ex, y_ey), P(x_ex) or P(y_ey) as a divisor.
 
-
-def _divide_by_evidence(dataset: Dataset, interval: Interval, cq: CanonicalQuery) -> Interval:
-    divisor = _evidence_prob(dataset, cq.divisor_x, cq.divisor_y)
+    The one rule for conditioning, in bound, tian_pearl and the oracle:
+    evidence below EPS_NUM raises ZeroEvidenceProbability.
+    """
+    divisor = dataset.p_evidence(ex, ey)
     if divisor < EPS_NUM:
-        raise ZeroEvidenceProbability(_evidence_label(cq.divisor_x, cq.divisor_y), divisor)
-    return interval.scaled_by(divisor)
+        raise ZeroEvidenceProbability(_evidence_label(ex, ey), divisor)
+    return divisor
 
 
-def _leaf_trace(query: str, theorem: str, label: str, v: float) -> BoundTrace:
-    """The trace of a node whose one candidate, label = v, is both ends."""
-    return BoundTrace(query, theorem, label, label, v, v, ((label, v),), ((label, v),), ())
+# The trace of every ZERO query: its one candidate, 0, is both ends.
+_ZERO_TRACE = BoundTrace(
+    "P(impossible event)", "Zero", "0", "0", 0.0, 0.0, (("0", 0.0),), (("0", 0.0),), ()
+)
 
 
 def bound(dataset: Dataset, query: Query | str) -> BoundResult:
@@ -373,7 +375,7 @@ def bound(dataset: Dataset, query: Query | str) -> BoundResult:
     that reduce to observational content give a point interval; everything
     else runs the theorem recursion. Conditional queries divide the joint
     interval by the evidence probability and raise ZeroEvidenceProbability
-    when that probability vanishes.
+    when that probability is below EPS_NUM.
     """
     if isinstance(query, str):
         query = parse_query(query, dataset.space)
@@ -381,30 +383,20 @@ def bound(dataset: Dataset, query: Query | str) -> BoundResult:
         validate_indices(query, dataset.space)
     cq = canonicalize(query)
 
-    if cq.kind == ZERO:
-        interval = Interval(0.0, 0.0)
-        if cq.conditional:
-            interval = _divide_by_evidence(dataset, interval, cq)
-        return BoundResult(interval, _leaf_trace("P(impossible event)", "Zero", "0", 0.0), 1)
-
-    if cq.kind == EXACT:
-        label = _evidence_label(cq.evidence_x, cq.evidence_y)
-        v = _evidence_prob(dataset, cq.evidence_x, cq.evidence_y)
-        interval = make_interval(v, v)
-        if cq.conditional:
-            interval = _divide_by_evidence(dataset, interval, cq)
-        return BoundResult(interval, _leaf_trace(label, "Exact", label, v), 1)
-
     if len(cq.terms) > MAX_TERMS:
         raise UnsupportedQuery(
             f"{len(cq.terms)} counterfactual terms exceed the limit of {MAX_TERMS}; "
             "unpruned, the recursion grows like 2^(k+2)"
         )
-    evaluator = _Evaluator(dataset)
-    interval, trace = evaluator.eval(cq.terms, cq.evidence_x, cq.evidence_y)
+    if cq.kind == ZERO:
+        interval, trace, evaluated = Interval(0.0, 0.0), _ZERO_TRACE, 1
+    else:
+        evaluator = _Evaluator(dataset)
+        interval, trace = evaluator.eval(cq.terms, cq.evidence_x, cq.evidence_y)
+        evaluated = len(evaluator.memo)
     if cq.conditional:
-        interval = _divide_by_evidence(dataset, interval, cq)
-    return BoundResult(interval, trace, len(evaluator.memo))
+        interval = interval.scaled_by(_evidence_divisor(dataset, cq.divisor_x, cq.divisor_y))
+    return BoundResult(interval, trace, evaluated)
 
 
 def tian_pearl(dataset: Dataset, kind: str) -> Interval:
@@ -427,14 +419,12 @@ def tian_pearl(dataset: Dataset, kind: str) -> Interval:
         hi = min(y_x, yp_xp, xy + xpyp, y_x - y_xp + xyp + xpy)
         return make_interval(lo, hi, "PNS lower", "PNS upper")
     if what == "PN":
-        if xy < EPS_NUM:
-            raise ZeroEvidenceProbability("P(x1,y1)", xy)
+        _evidence_divisor(dataset, 1, 1)
         lo = max(0.0, (y - y_xp) / xy)
         hi = min(1.0, (yp_xp - xpyp) / xy)
         return make_interval(lo, hi, "PN lower", "PN upper")
     if what == "PS":
-        if xpyp < EPS_NUM:
-            raise ZeroEvidenceProbability("P(x2,y2)", xpyp)
+        _evidence_divisor(dataset, 2, 2)
         lo = max(0.0, (yp - yp_x) / xpyp)
         hi = min(1.0, (y_x - xy) / xpyp)
         return make_interval(lo, hi, "PS lower", "PS upper")

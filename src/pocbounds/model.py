@@ -1,21 +1,22 @@
-"""Problem space, experimental/observational distributions, and consistency checks.
+"""Problem space, the Dataset record, and the one ingest pipeline.
 
 Everything is indexed 1-based in the public API (treatment j in 1..m, outcome
 i in 1..n) to match the query notation; the first matrix index is always the
 treatment.
 
-Each distribution holds its exact values as integers: an experimental row j
-is num[j] / den[j], an observational cell num[j][i] / den. Counts are stored
-as given, with the row total or the grand total as denominator. Each cell
-of a probability table is lifted to the closest rational with denominator at
-most 10**9, the value Fraction.limit_denominator gives, found by a
-continued-fraction walk in plain ints (_lift); each row (or the whole table)
-is then scaled to integers over the least common denominator, so it sums to
-its denominator exactly. No Fraction is built at ingest. The floats the
-engine reads, P(y_i | do x_j), P(x_j, y_i) and the marginals P(x_j) and
-P(y_i), are computed once at ingest by integer true division, which Python
-rounds correctly: each equals float() of its exact rational. The LP oracle
-asks for the rationals through the exact_* accessors, which build each
+A Dataset holds both tables as integers: an experimental row j is
+exp_num[j] / exp_den[j], an observational cell obs_num[j][i] / obs_den.
+Counts are stored as given, with the row total or the grand total as
+denominator. Each cell of a probability table is lifted to the closest
+rational with denominator at most 10**9, the value Fraction.limit_denominator
+gives, found by a continued-fraction walk in plain ints (_lift); each row (or
+the whole table) is then scaled to integers over the least common
+denominator, so it sums to its denominator exactly. No Fraction is built at
+ingest. The floats the engine reads, P(y_i | do x_j), P(x_j, y_i) and the
+marginals P(x_j) and P(y_i), are computed once at ingest by integer true
+division, which Python rounds correctly: each equals float() of its exact
+rational, and the record is immutable, so the two cannot drift apart. The
+oracle asks for the rationals through the exact_* accessors, which build each
 Fraction on demand.
 """
 
@@ -58,8 +59,6 @@ class ZeroGrandTotal(DataError):
 class _ProblemSpaceFields(NamedTuple):
     m: int
     n: int
-    treatment_labels: tuple[str, ...] | None = None
-    outcome_labels: tuple[str, ...] | None = None
 
 
 class ProblemSpace(_ProblemSpaceFields):
@@ -67,20 +66,10 @@ class ProblemSpace(_ProblemSpaceFields):
 
     __slots__ = ()
 
-    def __new__(cls, m, n, treatment_labels=None, outcome_labels=None):
+    def __new__(cls, m, n):
         if m < 2 or n < 2:
             raise DataError(f"need at least two values per axis, got m={m}, n={n}")
-        for labels, count, axis in (
-            (treatment_labels, m, "treatment"),
-            (outcome_labels, n, "outcome"),
-        ):
-            if labels is None:
-                continue
-            if len(labels) != count:
-                raise DataError(f"{axis} labels: expected {count}, got {len(labels)}")
-            if len(set(labels)) != len(labels):
-                raise DataError(f"{axis} labels must be unique")
-        return super().__new__(cls, m, n, treatment_labels, outcome_labels)
+        return super().__new__(cls, m, n)
 
     @classmethod
     def _make(cls, iterable):
@@ -101,103 +90,66 @@ class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
 
-class _Table:
-    """Integer numerators over denominators, read-only once built.
+class Dataset(NamedTuple):
+    """Both tables as integers, the floats derived from them, and the report.
 
-    Equality and hashing use (num, den) only: the floats a subclass derives
-    from them in __init__ take no part.
+    P(y_i | do x_j) = exp_num[j-1][i-1] / exp_den[j-1], every row summing to
+    1; P(x_j, y_i) = obs_num[j-1][i-1] / obs_den, the table summing to 1.
+    The floats do, joint, px and py are those ratios rounded once at ingest;
+    the engine reads them through p_*, the oracle the exact ratios through
+    exact_*. Equal datasets have equal integers, not just equal floats.
     """
 
-    __slots__ = ("num", "den")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.num, self.den) == (other.num, other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __reduce__(self):
-        # Rebuild through __init__: pickle and copy would otherwise assign slots.
-        return type(self), (self.num, self.den)
-
-    def __repr__(self):
-        return f"{type(self).__name__}(num={self.num!r}, den={self.den!r})"
-
-
-class ExperimentalDistribution(_Table):
-    """P(y_i | do(x_j)) = num[j-1][i-1] / den[j-1]; every row sums to 1."""
-
-    __slots__ = ("p",)
-    num: tuple[tuple[int, ...], ...]
-    den: tuple[int, ...]
-    p: tuple[tuple[float, ...], ...]
-
-    def __init__(self, num, den):
-        init = object.__setattr__
-        init(self, "num", num)
-        init(self, "den", den)
-        init(self, "p", tuple(tuple(c / d for c in row) for row, d in zip(num, den)))
-
-    def exact_do(self, j: int, i: int) -> Fraction:
-        return Fraction(self.num[j - 1][i - 1], self.den[j - 1])
-
-
-class ObservationalDistribution(_Table):
-    """Joint P(x_j, y_i) = num[j-1][i-1] / den, summing to 1, with its marginals."""
-
-    __slots__ = ("p", "px", "py")
-    num: tuple[tuple[int, ...], ...]
-    den: int
-    p: tuple[tuple[float, ...], ...]
+    space: ProblemSpace
+    exp_num: tuple[tuple[int, ...], ...]
+    exp_den: tuple[int, ...]
+    obs_num: tuple[tuple[int, ...], ...]
+    obs_den: int
+    do: tuple[tuple[float, ...], ...]
+    joint: tuple[tuple[float, ...], ...]
     px: tuple[float, ...]
     py: tuple[float, ...]
-
-    def __init__(self, num, den):
-        init = object.__setattr__
-        init(self, "num", num)
-        init(self, "den", den)
-        init(self, "p", tuple(tuple(c / den for c in row) for row in num))
-        init(self, "px", tuple(sum(row) / den for row in num))
-        init(self, "py", tuple(sum(col) / den for col in zip(*num)))
-
-    def exact_joint(self, j: int, i: int) -> Fraction:
-        return Fraction(self.num[j - 1][i - 1], self.den)
-
-    def exact_x(self, j: int) -> Fraction:
-        return Fraction(sum(self.num[j - 1]), self.den)
-
-    def exact_y(self, i: int) -> Fraction:
-        return Fraction(sum(row[i - 1] for row in self.num), self.den)
-
-
-class Dataset(NamedTuple):
-    """A pair of experimental and observational distributions plus its report."""
-
-    space: ProblemSpace
-    exp: ExperimentalDistribution
-    obs: ObservationalDistribution
     validation: ValidationReport
 
-    # Accessor shorthands; the engine reads these in every formula.
     def p_do(self, j: int, i: int) -> float:
-        return self.exp.p[j - 1][i - 1]
+        return self.do[j - 1][i - 1]
 
     def p_joint(self, j: int, i: int) -> float:
-        return self.obs.p[j - 1][i - 1]
+        return self.joint[j - 1][i - 1]
 
     def p_x(self, j: int) -> float:
-        return self.obs.px[j - 1]
+        return self.px[j - 1]
 
     def p_y(self, i: int) -> float:
-        return self.obs.py[i - 1]
+        return self.py[i - 1]
+
+    def p_evidence(self, ex: int | None, ey: int | None) -> float:
+        """P(x_ex, y_ey), P(x_ex) or P(y_ey): the observed evidence present."""
+        if ey is None:
+            return self.px[ex - 1]
+        if ex is None:
+            return self.py[ey - 1]
+        return self.joint[ex - 1][ey - 1]
+
+    def exact_do(self, j: int, i: int) -> Fraction:
+        return Fraction(self.exp_num[j - 1][i - 1], self.exp_den[j - 1])
+
+    def exact_joint(self, j: int, i: int) -> Fraction:
+        return Fraction(self.obs_num[j - 1][i - 1], self.obs_den)
+
+    def exact_x(self, j: int) -> Fraction:
+        return Fraction(sum(self.obs_num[j - 1]), self.obs_den)
+
+    def exact_y(self, i: int) -> Fraction:
+        return Fraction(sum(row[i - 1] for row in self.obs_num), self.obs_den)
+
+    def exact_evidence(self, ex: int | None, ey: int | None) -> Fraction:
+        """The exact ratio behind p_evidence."""
+        if ey is None:
+            return self.exact_x(ex)
+        if ex is None:
+            return self.exact_y(ey)
+        return self.exact_joint(ex, ey)
 
 
 def _is_row(value) -> bool:
@@ -287,8 +239,11 @@ def _cells(table, counts: bool, side: str) -> list[list]:
     return rows
 
 
-def _experimental(table, counts: bool) -> ExperimentalDistribution:
-    """Each row over its own total; a probability row must sum to 1 within EPS_PROBS."""
+def _experimental(table, counts: bool) -> tuple[tuple, tuple]:
+    """(num, den): each row over its own total.
+
+    A probability row must sum to 1 within EPS_PROBS.
+    """
     num, den = [], []
     for j, row in enumerate(_cells(table, counts, "experimental"), start=1):
         ints, scale = (row, 1) if counts else _over_lcm(row)
@@ -299,11 +254,11 @@ def _experimental(table, counts: bool) -> ExperimentalDistribution:
             raise DataError(f"experimental row for x{j} sums to {total / scale}, expected 1")
         num.append(tuple(ints))
         den.append(total)
-    return ExperimentalDistribution(tuple(num), tuple(den))
+    return tuple(num), tuple(den)
 
 
-def _observational(table, counts: bool) -> ObservationalDistribution:
-    """Every cell over the grand total, checked as _experimental checks a row."""
+def _observational(table, counts: bool) -> tuple[tuple, int]:
+    """(num, den): every cell over the grand total, checked as _experimental checks a row."""
     rows = _cells(table, counts, "observational")
     flat = [c for row in rows for c in row]
     ints, scale = (flat, 1) if counts else _over_lcm(flat)
@@ -313,8 +268,7 @@ def _observational(table, counts: bool) -> ObservationalDistribution:
     if not counts and abs(grand / scale - 1.0) > EPS_PROBS:
         raise DataError(f"observational table sums to {grand / scale}, expected 1")
     n = len(rows[0])
-    num = tuple(tuple(ints[k : k + n]) for k in range(0, len(ints), n))
-    return ObservationalDistribution(num, grand)
+    return tuple(tuple(ints[k : k + n]) for k in range(0, len(ints), n)), grand
 
 
 def _ingest(
@@ -329,7 +283,7 @@ def _ingest(
     in every cell.
 
     The check is exact: both sides are cross-multiplied over
-    exp.den[j] * obs.den and compared as integers. The data admit a joint
+    exp_den[j] * obs_den and compared as integers. The data admit a joint
     response-type distribution iff no cell fails, so the report is the
     feasibility test; the oracle raises Infeasible from its first violation.
 
@@ -348,16 +302,26 @@ def _ingest(
     else:
         _check_shape(exp_table, space, "experimental table")
         _check_shape(obs_table, space, "observational table")
-    exp = _experimental(exp_table, exp_counts)
-    obs = _observational(obs_table, obs_counts)
+    exp_num, exp_den = _experimental(exp_table, exp_counts)
+    obs_num, obs_den = _observational(obs_table, obs_counts)
     violations = []
-    for j, (do_row, xy_row, d) in enumerate(zip(exp.num, obs.num, exp.den), start=1):
+    for j, (do_row, xy_row, d) in enumerate(zip(exp_num, obs_num, exp_den), start=1):
         for i, (do, xy) in enumerate(zip(do_row, xy_row), start=1):
-            gap = xy * d - do * obs.den
+            gap = xy * d - do * obs_den
             if gap > 0:
-                violations.append(Violation(j, i, gap / (d * obs.den)))
-    report = ValidationReport(not violations, tuple(violations))
-    return Dataset(space or ProblemSpace(m, n), exp, obs, report)
+                violations.append(Violation(j, i, gap / (d * obs_den)))
+    return Dataset(
+        space or ProblemSpace(m, n),
+        exp_num,
+        exp_den,
+        obs_num,
+        obs_den,
+        tuple(tuple(c / d for c in row) for row, d in zip(exp_num, exp_den)),
+        tuple(tuple(c / obs_den for c in row) for row in obs_num),
+        tuple(sum(row) / obs_den for row in obs_num),
+        tuple(sum(col) / obs_den for col in zip(*obs_num)),
+        ValidationReport(not violations, tuple(violations)),
+    )
 
 
 def dataset_from_counts(
@@ -388,8 +352,9 @@ def dataset_from_probs(
 def dataset_from_json(doc: dict) -> Dataset:
     """Build a Dataset from the JSON schema.
 
-    Required keys: "treatments" and "outcomes" (label lists), plus exactly
-    one of "experimental_counts"/"experimental_probs" and exactly one of
+    Required keys: "treatments" and "outcomes" (lists of unique labels,
+    whose lengths give m and n; the labels are not kept), plus exactly one
+    of "experimental_counts"/"experimental_probs" and exactly one of
     "observational_counts"/"observational_probs".
     """
     if not isinstance(doc, dict):
@@ -399,9 +364,10 @@ def dataset_from_json(doc: dict) -> Dataset:
             isinstance(s, str) for s in doc[key]
         ):
             raise DataError(f'dataset needs a "{key}" list of strings')
-    treatments = tuple(doc["treatments"])
-    outcomes = tuple(doc["outcomes"])
-    space = ProblemSpace(len(treatments), len(outcomes), treatments, outcomes)
+    space = ProblemSpace(len(doc["treatments"]), len(doc["outcomes"]))
+    for key, axis in (("treatments", "treatment"), ("outcomes", "outcome")):
+        if len(set(doc[key])) != len(doc[key]):
+            raise DataError(f"{axis} labels must be unique")
 
     def pick(prefix: str):
         counts_key, probs_key = f"{prefix}_counts", f"{prefix}_probs"

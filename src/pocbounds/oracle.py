@@ -59,27 +59,18 @@ from .queryir import (
     restrict_to_arm,
     validate_indices,
 )
-from .engine import ZeroEvidenceProbability, _evidence_label
+from .engine import _evidence_divisor
 
 
 class Infeasible(ValueError):
     """The data admit no joint response-type distribution."""
 
 
-def _exact_divisor(dataset: Dataset, ex, ey) -> Fraction:
-    if ex is not None and ey is not None:
-        return dataset.obs.exact_joint(ex, ey)
-    if ex is not None:
-        return dataset.obs.exact_x(ex)
-    return dataset.obs.exact_y(ey)
-
-
 def _closed_form(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fraction]:
     """Tight (min, max) of a feasible, non-ZERO query's joint probability."""
-    obs, exp = dataset.obs, dataset.exp
     arms = range(1, dataset.space.m + 1)
-    px = {c: obs.exact_x(c) for c in arms}
-    d = {j: exp.exact_do(j, y) - obs.exact_joint(j, y) for j, y in cq.terms}
+    px = {c: dataset.exact_x(c) for c in arms}
+    d = {j: dataset.exact_do(j, y) - dataset.exact_joint(j, y) for j, y in cq.terms}
     cap, theta = {}, {}
     for c in arms:
         events = restrict_to_arm(cq.terms, c, cq.evidence_y)
@@ -89,7 +80,7 @@ def _closed_form(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fracti
         if observed is None:
             cap[c], theta[c] = px[c], (len(cross) - 1) * px[c]
         else:
-            cap[c] = obs.exact_joint(c, observed)
+            cap[c] = dataset.exact_joint(c, observed)
             theta[c] = len(cross) * px[c] - cap[c]
 
     hi = sum(cap.values(), Fraction(0))
@@ -126,16 +117,15 @@ def _exact_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fract
         j, i, _ = dataset.validation.violations[0]
         raise Infeasible(
             "experimental and observational data admit no joint response-type distribution: "
-            f"P(y{i} | do x{j}) = {dataset.exp.exact_do(j, i)}"
-            f" < P(x{j}, y{i}) = {dataset.obs.exact_joint(j, i)}"
+            f"P(y{i} | do x{j}) = {dataset.exact_do(j, i)}"
+            f" < P(x{j}, y{i}) = {dataset.exact_joint(j, i)}"
         )
     vmin = vmax = Fraction(0)
     if cq.kind != ZERO:
         vmin, vmax = _closed_form(dataset, cq)
     if cq.conditional:
-        divisor = _exact_divisor(dataset, cq.divisor_x, cq.divisor_y)
-        if divisor == 0:
-            raise ZeroEvidenceProbability(_evidence_label(cq.divisor_x, cq.divisor_y), 0.0)
+        _evidence_divisor(dataset, cq.divisor_x, cq.divisor_y)  # the engine's rule
+        divisor = dataset.exact_evidence(cq.divisor_x, cq.divisor_y)
         vmin, vmax = vmin / divisor, vmax / divisor
     return vmin, vmax
 

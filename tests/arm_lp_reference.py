@@ -32,7 +32,6 @@ def _arm_lp(dataset: Dataset, cq: CanonicalQuery, maximize: bool):
     marginal rows remain.
     """
     m, n = dataset.space.m, dataset.space.n
-    obs, exp = dataset.obs, dataset.exp
     names: list[str] = []
     r: dict[tuple[int, int, int], int] = {}
     for j in range(1, m + 1):
@@ -49,11 +48,11 @@ def _arm_lp(dataset: Dataset, cq: CanonicalQuery, maximize: bool):
         for c in range(1, m + 1):
             if c != j:
                 rows.append({r[j, c, y]: 1 for y in range(1, n + 1)})
-                b.append(obs.exact_x(c))
+                b.append(dataset.exact_x(c))
     for j in range(1, m + 1):
         for y in range(1, n + 1):
             rows.append({r[j, c, y]: 1 for c in range(1, m + 1) if c != j})
-            b.append(exp.exact_do(j, y) - obs.exact_joint(j, y))
+            b.append(dataset.exact_do(j, y) - dataset.exact_joint(j, y))
 
     objective: dict[int, int] = {}
     arms = range(1, m + 1) if cq.kind != ZERO else ()
@@ -73,7 +72,7 @@ def _arm_lp(dataset: Dataset, cq: CanonicalQuery, maximize: bool):
                 names.append(f"w[x{c},y{y}_x{j}]")
             if observed is not None:
                 rows.append({aux: 1, len(names): 1})
-                b.append(obs.exact_joint(c, observed))
+                b.append(dataset.exact_joint(c, observed))
                 names.append(f"w[x{c},y{observed}]")
         else:
             # s_c - t_c - sum of marginals = observed mass - (K-1) P(x_c),
@@ -84,8 +83,8 @@ def _arm_lp(dataset: Dataset, cq: CanonicalQuery, maximize: bool):
             rhs = Fraction(0)
             if observed is not None:
                 k += 1
-                rhs = obs.exact_joint(c, observed)
-            b.append(rhs - (k - 1) * obs.exact_x(c))
+                rhs = dataset.exact_joint(c, observed)
+            b.append(rhs - (k - 1) * dataset.exact_x(c))
 
     ncols = len(names)
     A = [[Fraction(row.get(col, 0)) for col in range(ncols)] for row in rows]

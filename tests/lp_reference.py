@@ -54,7 +54,7 @@ def _build_constraints(dataset: Dataset):
                 if t[j - 1] == i:
                     row[var(t_idx, j)] = one
             rows.append(row)
-            rhs.append(dataset.obs.exact_joint(j, i))
+            rhs.append(dataset.exact_joint(j, i))
     for j in range(1, m + 1):
         for i in range(1, n + 1):
             row = [zero] * ncols
@@ -63,7 +63,7 @@ def _build_constraints(dataset: Dataset):
                     for jp in range(1, m + 1):
                         row[var(t_idx, jp)] = one
             rows.append(row)
-            rhs.append(dataset.exp.exact_do(j, i))
+            rhs.append(dataset.exact_do(j, i))
     return types, rows, rhs
 
 
@@ -109,10 +109,10 @@ def reference_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fr
 def evidence_divisor(dataset: Dataset, cq: CanonicalQuery) -> Fraction:
     """The exact probability of a conditional query's evidence."""
     if cq.divisor_x is not None and cq.divisor_y is not None:
-        return dataset.obs.exact_joint(cq.divisor_x, cq.divisor_y)
+        return dataset.exact_joint(cq.divisor_x, cq.divisor_y)
     if cq.divisor_x is not None:
-        return dataset.obs.exact_x(cq.divisor_x)
-    return dataset.obs.exact_y(cq.divisor_y)
+        return dataset.exact_x(cq.divisor_x)
+    return dataset.exact_y(cq.divisor_y)
 
 
 def reference_feasible(dataset: Dataset) -> bool:

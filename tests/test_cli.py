@@ -199,6 +199,13 @@ class TestErrorPaths:
         assert code == 1
         assert "undefined conditional" in capsys.readouterr().err
 
+    def test_oracle_refuses_evidence_below_eps(self, tmp_path, capsys):
+        # P(x1, y1) is about 2.5e-10: the oracle refuses it as the engine does
+        data = write_data(tmp_path, [[1, 1], [1, 1]], [[1, 2 * 10**9], [2 * 10**9, 1]])
+        code = main(["oracle", "--data", data, "--query", "P(y1_x2 | x1, y1)"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("undefined conditional:")
+
     def _validate_doc(self, tmp_path, capsys, **tables):
         doc = {"treatments": ["x1", "x2"], "outcomes": ["y1", "y2"], **tables}
         path = tmp_path / "malformed.json"

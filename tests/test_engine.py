@@ -170,6 +170,7 @@ class TestDegenerateKinds:
     def test_term_absorbed_into_evidence(self, treatment):
         result = bound(treatment, "P(y3_x1, x1)")
         assert result.trace.theorem == "Exact"
+        assert (result.trace.query, result.stats_evaluated) == ("P(x1, y3)", 1)
         assert result.interval.lo == result.interval.hi == pytest.approx(7 / 900, abs=1e-15)
 
     def test_absorbed_conditional_divides_by_original_evidence(self, treatment):

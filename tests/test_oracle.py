@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pocbounds.engine import ZeroEvidenceProbability, bound
+from pocbounds.frechet import EPS_NUM
 from pocbounds.model import dataset_from_counts, dataset_from_probs
 from pocbounds.oracle import Infeasible, tight_bounds
 from pocbounds.queryir import canonicalize, parse_query
@@ -71,6 +72,18 @@ class TestTightBounds:
         ds = dataset_from_counts([[5, 5], [5, 5]], [[5, 0], [3, 2]])
         with pytest.raises(ZeroEvidenceProbability):
             tight_bounds(ds, "P(y1_x2 | x1, y2)")
+
+    def test_evidence_below_eps_refused_as_by_the_engine(self):
+        # P(x1, y1) = 1 / (4*10**9 + 2): not zero, but below the engine's EPS_NUM
+        ds = dataset_from_counts([[1, 1], [1, 1]], [[1, 2 * 10**9], [2 * 10**9, 1]])
+        assert ds.validation.ok
+        assert 0 < ds.exact_joint(1, 1) and ds.p_joint(1, 1) < EPS_NUM
+        query = "P(y1_x2 | x1, y1)"
+        with pytest.raises(ZeroEvidenceProbability) as by_engine:
+            bound(ds, query)
+        with pytest.raises(ZeroEvidenceProbability) as by_oracle:
+            tight_bounds(ds, query)
+        assert str(by_oracle.value) == str(by_engine.value)
 
     def test_accepts_text_and_parsed_queries(self, treatment):
         q = parse_query("P(y3_x1, y1_x2)", treatment.space)

@@ -63,12 +63,12 @@ def near_boundary_tables(draw):
     have cells on the consistency boundary, so a move can break them."""
     m, n, ds = draw(mass_cases())
     gap = draw(st.sampled_from([-5e-7, -1e-7, 0.0, 1e-7, 5e-7]))
-    obs = [list(row) for row in ds.obs.p]
+    obs = [list(row) for row in ds.joint]
     j = draw(st.integers(0, m - 1))
     i, i2 = draw(st.permutations(range(n)))[:2]
     obs[j][i] += gap
     obs[j][i2] -= gap
-    return m, n, dataset_from_probs(ds.exp.p, obs)
+    return m, n, dataset_from_probs(ds.do, obs)
 
 
 @st.composite

@@ -1,8 +1,8 @@
 """The value semantics callers rely on, for every record type in the package.
 
-Records are immutable, hashable values that compare by their fields. The
-two distributions compare and hash on (num, den) only; the floats derived
-from them at ingest take no part.
+Records are immutable, hashable values that compare by their fields. A
+Dataset's floats are derived from its integers, so two datasets with equal
+floats but different integers differ.
 """
 
 import copy
@@ -13,13 +13,7 @@ from conftest import TREATMENT_EXP, TREATMENT_OBS
 
 from pocbounds import bound, run_simulation
 from pocbounds.frechet import Interval
-from pocbounds.model import (
-    DataError,
-    ExperimentalDistribution,
-    ObservationalDistribution,
-    ProblemSpace,
-    dataset_from_counts,
-)
+from pocbounds.model import DataError, ProblemSpace, dataset_from_counts
 from pocbounds.queryir import CounterfactualTerm, Query, UnsupportedQuery, canonicalize
 
 T = CounterfactualTerm
@@ -38,8 +32,6 @@ def records(treatment):
         "space": treatment.space,
         "report": treatment.validation,
         "dataset": treatment,
-        "exp": treatment.exp,
-        "obs": treatment.obs,
         "trace": result.trace,
         "result": result,
         "sim_record": summary.records[0],
@@ -56,11 +48,10 @@ def records(treatment):
         ("canonical", "kind"),
         ("space", "m"),
         ("report", "ok"),
-        ("dataset", "exp"),
-        ("exp", "num"),
-        ("exp", "p"),
-        ("obs", "den"),
-        ("obs", "px"),
+        ("dataset", "exp_num"),
+        ("dataset", "do"),
+        ("dataset", "obs_den"),
+        ("dataset", "px"),
         ("trace", "lo"),
         ("result", "interval"),
         ("sim_record", "real_value"),
@@ -73,16 +64,14 @@ def test_fields_are_read_only(records, name, attr):
         setattr(rec, attr, getattr(rec, attr))
 
 
-@pytest.mark.parametrize("name", ["interval", "term", "query", "space", "dataset", "exp", "obs"])
+@pytest.mark.parametrize("name", ["interval", "term", "query", "space", "dataset"])
 def test_no_attribute_can_be_added(records, name):
     # Frozen dataclasses with slots raised TypeError here, from a CPython bug.
     with pytest.raises(AttributeError):
         records[name].extra = 1
 
 
-@pytest.mark.parametrize(
-    "name", ["interval", "term", "query", "canonical", "space", "dataset", "exp", "obs"]
-)
+@pytest.mark.parametrize("name", ["interval", "term", "query", "canonical", "space", "dataset"])
 def test_hashable(records, name):
     rec = records[name]
     assert hash(rec) == hash(rec)
@@ -103,8 +92,6 @@ def test_records_survive_pickle_and_copy(records):
         assert type(again) is type(rec)
         assert again == rec
         assert copy.deepcopy(rec) == rec
-    exp = records["exp"]
-    assert pickle.loads(pickle.dumps(exp)).p == exp.p
 
 
 def test_counterfactual_terms_sort_by_treatment_then_outcome():
@@ -137,8 +124,6 @@ def test_replace_validates():
     assert space._replace(n=4) == ProblemSpace(2, 4)
     with pytest.raises(DataError):
         space._replace(m=1)
-    with pytest.raises(DataError):
-        space._replace(outcome_labels=("a", "a", "b"))
 
 
 def test_problem_space_validates_its_arguments():
@@ -146,31 +131,26 @@ def test_problem_space_validates_its_arguments():
         ((1, 3), {}),
         ((3, 1), {}),
         ((), {"m": 1, "n": 3}),
-        ((2, 2), {"treatment_labels": ("a", "a")}),
-        ((2, 2), {"outcome_labels": ("y", "y")}),
-        ((2, 2), {"treatment_labels": ("a", "b", "c")}),
     ]:
         with pytest.raises(DataError):
             ProblemSpace(*args, **kwargs)
-    space = ProblemSpace(2, 3, outcome_labels=("a", "b", "c"))
-    assert (space.m, space.n, space.treatment_labels) == (2, 3, None)
-    assert space == ProblemSpace(m=2, n=3, outcome_labels=("a", "b", "c"))
+    space = ProblemSpace(2, 3)
+    assert (space.m, space.n) == (2, 3)
+    assert space == ProblemSpace(m=2, n=3)
 
 
-def test_distributions_compare_on_num_and_den_only():
-    exp = ExperimentalDistribution(((1, 3), (2, 2)), (4, 4))
-    same = ExperimentalDistribution(((1, 3), (2, 2)), (4, 4))
-    scaled = ExperimentalDistribution(((2, 6), (2, 2)), (8, 4))
-    assert exp == same and hash(exp) == hash(same)
+def test_datasets_compare_on_integers_not_floats():
+    ds = dataset_from_counts([[1, 3], [2, 2]], [[1, 1], [1, 1]])
+    same = dataset_from_counts([[1, 3], [2, 2]], [[1, 1], [1, 1]])
+    assert ds == same and hash(ds) == hash(same)
     # Equal floats, different integers: not equal.
-    assert exp.p == scaled.p
-    assert exp != scaled
-    obs = ObservationalDistribution(((1, 1), (1, 1)), 4)
-    assert obs == ObservationalDistribution(((1, 1), (1, 1)), 4)
-    assert obs != ObservationalDistribution(((2, 2), (2, 2)), 8)
-    assert hash(obs) == hash(ObservationalDistribution(((1, 1), (1, 1)), 4))
-    assert exp != obs
-    assert (obs.px, obs.py) == ((0.5, 0.5), (0.5, 0.5))
+    scaled_exp = dataset_from_counts([[2, 6], [2, 2]], [[1, 1], [1, 1]])
+    assert ds.do == scaled_exp.do
+    assert ds != scaled_exp
+    scaled_obs = dataset_from_counts([[1, 3], [2, 2]], [[2, 2], [2, 2]])
+    assert (ds.joint, ds.px, ds.py) == (scaled_obs.joint, scaled_obs.px, scaled_obs.py)
+    assert ds != scaled_obs
+    assert (ds.px, ds.py) == ((0.5, 0.5), (0.5, 0.5))
 
 
 def test_interval_unpacks_and_equals_its_ends():
