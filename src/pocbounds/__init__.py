@@ -11,6 +11,7 @@ from .frechet import InfeasibleInterval, Interval, make_interval
 from .model import (
     DataError,
     Dataset,
+    Infeasible,
     ProblemSpace,
     ShapeMismatch,
     ValidationReport,
@@ -37,12 +38,10 @@ from .queryir import (
 from .engine import (
     BoundResult,
     BoundTrace,
-    NotBinary,
     ZeroEvidenceProbability,
     bound,
-    tian_pearl,
 )
-from .oracle import Infeasible, tight_bounds
+from .oracle import tight_bounds
 from .simgen import (
     SimulationRecord,
     SimulationSummary,
@@ -65,7 +64,6 @@ __all__ = [
     "Infeasible",
     "InfeasibleInterval",
     "Interval",
-    "NotBinary",
     "ProblemSpace",
     "Query",
     "QuerySyntaxError",
@@ -90,7 +88,6 @@ __all__ = [
     "make_interval",
     "parse_query",
     "run_simulation",
-    "tian_pearl",
     "tight_bounds",
     "validate_indices",
     "write_csv",

@@ -5,8 +5,8 @@ cross-check), oracle (LP-tight interval only), simulate (random-model study
 with CSV output), validate (consistency report), reproduce (bundled worked
 examples checked against their published values).
 
-Exit codes: 0 success, 1 usage or data errors, 2 reproduction or
-strict-validation failure.
+Exit codes: 0 success; 1 usage or data errors, inconsistent data among them;
+2 a failed reproduction, oracle containment or validation.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import engine, oracle, simgen
-from .frechet import InfeasibleInterval, Interval
-from .model import DataError, Dataset, load_dataset
+from .frechet import Interval
+from .model import DataError, Dataset, Infeasible, load_dataset
 from .queryir import IndexOutOfRange, QuerySyntaxError, UnsupportedQuery, parse_query
 
 FIXTURES_ENV = "POCBOUNDS_FIXTURES"
@@ -82,8 +82,8 @@ def _fmt(interval: Interval) -> str:
     return f"[{interval.lo:.6f}, {interval.hi:.6f}]"
 
 
-def _print_violations(dataset: Dataset, out) -> None:
-    for v in dataset.validation.violations:
+def _print_violations(violations, out) -> None:
+    for v in violations:
         print(f"  x{v.j},y{v.i}: lower violated by {v.magnitude:.6g}", file=out)
 
 
@@ -93,24 +93,14 @@ def _cmd_validate(args) -> int:
         print(f"validation: OK ({dataset.space.m} treatments, {dataset.space.n} outcomes)")
         return 0
     print(f"validation: {len(dataset.validation.violations)} violation(s)")
-    _print_violations(dataset, sys.stdout)
+    _print_violations(dataset.validation.violations, sys.stdout)
     return 2
 
 
 def _cmd_bound(args) -> int:
     dataset = load_dataset(args.data)
-    if args.strict and not dataset.validation.ok:
-        print("strict mode: dataset fails consistency validation", file=sys.stderr)
-        _print_violations(dataset, sys.stderr)
-        return 2
     query = parse_query(args.query, dataset.space)
-    try:
-        result = engine.bound(dataset, query)
-    except InfeasibleInterval as exc:
-        # Bounds cross only on data that fail validation; name their cells.
-        print(f"inconsistent data: {exc}", file=sys.stderr)
-        _print_violations(dataset, sys.stderr)
-        return 1
+    result = engine.bound(dataset, query)
     print(_fmt(result.interval))
     if args.trace:
         print(json.dumps(result.trace.to_json(), indent=2))
@@ -188,7 +178,6 @@ def build_parser() -> _Parser:
     p.add_argument("--query", required=True, help='query text, e.g. "P(y1_x1, y1_x2)"')
     p.add_argument("--trace", action="store_true", help="print the derivation tree as JSON")
     p.add_argument("--oracle", action="store_true", help="also print the LP-tight interval")
-    p.add_argument("--strict", action="store_true", help="refuse datasets failing validation")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("oracle", help="LP-tight interval for a query")
@@ -225,18 +214,15 @@ def main(argv=None) -> int:
     except (IndexOutOfRange, UnsupportedQuery) as exc:
         print(f"query error: {exc}", file=sys.stderr)
         return 1
+    except Infeasible as exc:
+        print(f"inconsistent data: {exc}", file=sys.stderr)
+        _print_violations(exc.violations, sys.stderr)
+        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
     except engine.ZeroEvidenceProbability as exc:
         print(f"undefined conditional: {exc}", file=sys.stderr)
-        return 1
-    except oracle.Infeasible as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return 1
-    except InfeasibleInterval as exc:
-        # The engine's bounds crossed: the data fail the consistency check.
-        print(f"inconsistent data: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)

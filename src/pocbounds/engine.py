@@ -47,16 +47,14 @@ The one gap is float noise: make_interval swaps raw ends that cross by at
 most EPS_NUM, which can lift a node's hi by as much and break "hi only
 shrinks". tests/data/engine_corpus.json holds intervals computed
 with the full recursion, and the engine still reproduces them bit for bit.
-Skipped subqueries leave no trace and do not count in `stats_evaluated`; on
-inconsistent data, an InfeasibleInterval that only a skipped subquery would
-have raised no longer fires.
+Skipped subqueries leave no trace and do not count in `stats_evaluated`.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .frechet import EPS_NUM, InfeasibleInterval, Interval, make_interval
+from .frechet import EPS_NUM, Interval, make_interval
 from .model import Dataset
 from .queryir import (
     ZERO,
@@ -82,10 +80,6 @@ class ZeroEvidenceProbability(ValueError):
         self.label = label
         self.value = value
         super().__init__(f"evidence {label} has probability {value!r}; cannot condition on it")
-
-
-class NotBinary(ValueError):
-    """The Tian-Pearl special cases need m = n = 2."""
 
 
 class BoundTrace(NamedTuple):
@@ -163,11 +157,7 @@ class _Evaluator:
     def _node(self, terms, ex, ey, theorem, lower, upper, children):
         lo_label, lo_raw = max(lower, key=lambda cand: cand[1])
         hi_label, hi_raw = min(upper, key=lambda cand: cand[1])
-        try:
-            interval = make_interval(lo_raw, hi_raw, lo_label, hi_label)
-        except InfeasibleInterval:
-            node = subquery_label(terms, ex, ey)
-            raise InfeasibleInterval(lo_raw, hi_raw, lo_label, hi_label, node) from None
+        interval = make_interval(lo_raw, hi_raw, lo_label, hi_label)
         trace = BoundTrace(
             query=subquery_label(terms, ex, ey),
             theorem=theorem,
@@ -190,7 +180,7 @@ class _Evaluator:
 
     def _evidence_point(self, ex, ey):
         v = self.ds.p_evidence(ex, ey)
-        label = _evidence_label(ex, ey)
+        label = subquery_label((), ex, ey)
         return self._node((), ex, ey, "Exact", [(label, v)], [(label, v)], ())
 
     def _t1(self, t):
@@ -285,7 +275,7 @@ class _Evaluator:
         children = []
         lower = [("0", 0.0), ("frechet", frechet)]
         upper = [(f"P({self._term_label(t)})", pe) for t, pe in zip(terms, pes)]
-        upper.append((_evidence_label(ex, ey), p_ev))
+        upper.append((subquery_label((), ex, ey), p_ev))
         pair_los = []
         for t in terms:
             pair_iv, pair_tr = self.eval((t,), ex, ey)
@@ -342,23 +332,15 @@ class _Evaluator:
         return cands
 
 
-def _evidence_label(ex, ey) -> str:
-    if ex is not None and ey is not None:
-        return f"P(x{ex},y{ey})"
-    if ex is not None:
-        return f"P(x{ex})"
-    return f"P(y{ey})"
-
-
 def _evidence_divisor(dataset: Dataset, ex, ey) -> float:
     """P(x_ex, y_ey), P(x_ex) or P(y_ey) as a divisor.
 
-    The one rule for conditioning, in bound, tian_pearl and the oracle:
+    The one rule for conditioning, in bound and the oracle:
     evidence below EPS_NUM raises ZeroEvidenceProbability.
     """
     divisor = dataset.p_evidence(ex, ey)
     if divisor < EPS_NUM:
-        raise ZeroEvidenceProbability(_evidence_label(ex, ey), divisor)
+        raise ZeroEvidenceProbability(subquery_label((), ex, ey), divisor)
     return divisor
 
 
@@ -371,17 +353,19 @@ _ZERO_TRACE = BoundTrace(
 def bound(dataset: Dataset, query: Query | str) -> BoundResult:
     """Bound a probability of causation on a dataset.
 
-    Accepts a query object or query text. Zero queries give [0, 0]; queries
-    that reduce to observational content give a point interval; everything
-    else runs the theorem recursion. Conditional queries divide the joint
-    interval by the evidence probability and raise ZeroEvidenceProbability
-    when that probability is below EPS_NUM.
+    Accepts a query object or query text. Data that fail validation raise
+    Infeasible, for every query, as tight_bounds does. Zero queries give
+    [0, 0]; queries that reduce to observational content give a point
+    interval; everything else runs the theorem recursion. Conditional queries
+    divide the joint interval by the evidence probability and raise
+    ZeroEvidenceProbability when that probability is below EPS_NUM.
     """
     if isinstance(query, str):
         query = parse_query(query, dataset.space)
     else:
         validate_indices(query, dataset.space)
     cq = canonicalize(query)
+    dataset.check_consistent()
 
     if len(cq.terms) > MAX_TERMS:
         raise UnsupportedQuery(
@@ -397,35 +381,3 @@ def bound(dataset: Dataset, query: Query | str) -> BoundResult:
     if cq.conditional:
         interval = interval.scaled_by(_evidence_divisor(dataset, cq.divisor_x, cq.divisor_y))
     return BoundResult(interval, trace, evaluated)
-
-
-def tian_pearl(dataset: Dataset, kind: str) -> Interval:
-    """The binary tight bounds for PNS, PN, or PS (m = n = 2).
-
-    Convention: x = x1 (treated), x' = x2, y = y1, y' = y2. PS comes from the
-    PN bounds by exchanging x with x' and y with y'.
-    """
-    if dataset.space.m != 2 or dataset.space.n != 2:
-        raise NotBinary(f"need m = n = 2, got m={dataset.space.m}, n={dataset.space.n}")
-    what = kind.upper()
-    p_do, p_joint = dataset.p_do, dataset.p_joint
-    y_x, y_xp = p_do(1, 1), p_do(2, 1)
-    yp_x, yp_xp = p_do(1, 2), p_do(2, 2)
-    xy, xyp = p_joint(1, 1), p_joint(1, 2)
-    xpy, xpyp = p_joint(2, 1), p_joint(2, 2)
-    y, yp = dataset.p_y(1), dataset.p_y(2)
-    if what == "PNS":
-        lo = max(0.0, y_x - y_xp, y - y_xp, y_x - y)
-        hi = min(y_x, yp_xp, xy + xpyp, y_x - y_xp + xyp + xpy)
-        return make_interval(lo, hi, "PNS lower", "PNS upper")
-    if what == "PN":
-        _evidence_divisor(dataset, 1, 1)
-        lo = max(0.0, (y - y_xp) / xy)
-        hi = min(1.0, (yp_xp - xpyp) / xy)
-        return make_interval(lo, hi, "PN lower", "PN upper")
-    if what == "PS":
-        _evidence_divisor(dataset, 2, 2)
-        lo = max(0.0, (yp - yp_x) / xpyp)
-        hi = min(1.0, (y_x - xy) / xpyp)
-        return make_interval(lo, hi, "PS lower", "PS upper")
-    raise ValueError(f"unknown kind {kind!r}; expected PNS, PN or PS")

@@ -3,8 +3,8 @@
 Every theorem in the engine is a max over lower-bound candidates intersected
 with a min over upper-bound candidates, among them the Frechet bounds of a
 conjunction, which the engine computes inline. This module owns the interval
-type and make_interval, including the infeasibility check that fires when
-the lower end exceeds the upper by more than numerical noise.
+type and make_interval, including the guard that fires when the lower end
+exceeds the upper by more than numerical noise.
 """
 
 from __future__ import annotations
@@ -17,28 +17,14 @@ EPS_NUM = 1e-9
 
 
 class InfeasibleInterval(ValueError):
-    """A lower bound exceeded an upper bound by more than EPS_NUM.
+    """A lower bound exceeded an upper bound by more than EPS_NUM."""
 
-    `node` names the subquery whose bounds crossed, when the engine knows it.
-    """
-
-    def __init__(
-        self,
-        lo: float,
-        hi: float,
-        lo_label: str = "lower",
-        hi_label: str = "upper",
-        node: str | None = None,
-    ):
+    def __init__(self, lo: float, hi: float, lo_label: str = "lower", hi_label: str = "upper"):
         self.lo = lo
         self.hi = hi
         self.lo_label = lo_label
         self.hi_label = hi_label
-        self.node = node
-        at = "" if node is None else f" at node {node}"
-        super().__init__(
-            f"infeasible interval: {lo_label} = {lo!r} exceeds {hi_label} = {hi!r}{at}"
-        )
+        super().__init__(f"infeasible interval: {lo_label} = {lo!r} exceeds {hi_label} = {hi!r}")
 
 
 class Interval(NamedTuple):
@@ -78,8 +64,9 @@ def make_interval(lo: float, hi: float, lo_label: str = "lower", hi_label: str =
 
     Raw candidates may be negative (the theorems compute things like
     sum - k + 1 before the max with 0) or may cross by a few ulps after a
-    division; a crossing beyond EPS_NUM means the data itself is
-    inconsistent and is reported as such.
+    division. A crossing beyond EPS_NUM is an invariant guard: bound and
+    tight_bounds refuse data that fail validation before any interval is
+    built, and valid bounds on consistent data do not cross.
     """
     if lo > hi + EPS_NUM:
         raise InfeasibleInterval(lo, hi, lo_label, hi_label)

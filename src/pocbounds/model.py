@@ -90,6 +90,14 @@ class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
 
+class Infeasible(DataError):
+    """The data admit no joint response-type distribution: the report's `violations`."""
+
+    def __init__(self, message: str, violations: tuple[Violation, ...]):
+        super().__init__(message)
+        self.violations = violations
+
+
 class Dataset(NamedTuple):
     """Both tables as integers, the floats derived from them, and the report.
 
@@ -130,6 +138,23 @@ class Dataset(NamedTuple):
         if ex is None:
             return self.py[ey - 1]
         return self.joint[ex - 1][ey - 1]
+
+    def check_consistent(self) -> None:
+        """Raise Infeasible unless the validation report is clean.
+
+        The one feasibility rule, for bound and tight_bounds alike. Each
+        row of the arm marginals is a transportation problem whose demands
+        D_j(y) = P(y | do x_j) - P(x_j, y) must be >= 0: the data admit a
+        model iff no cell is violated, so there is nothing to bound otherwise.
+        """
+        if self.validation.ok:
+            return
+        j, i, _ = self.validation.violations[0]
+        raise Infeasible(
+            "experimental and observational data admit no joint response-type distribution: "
+            f"P(y{i} | do x{j}) = {self.exact_do(j, i)} < P(x{j}, y{i}) = {self.exact_joint(j, i)}",
+            self.validation.violations,
+        )
 
     def exact_do(self, j: int, i: int) -> Fraction:
         return Fraction(self.exp_num[j - 1][i - 1], self.exp_den[j - 1])
@@ -285,7 +310,7 @@ def _ingest(
     The check is exact: both sides are cross-multiplied over
     exp_den[j] * obs_den and compared as integers. The data admit a joint
     response-type distribution iff no cell fails, so the report is the
-    feasibility test; the oracle raises Infeasible from its first violation.
+    feasibility test: Dataset.check_consistent raises Infeasible from it.
 
     The upper end of the consistency envelope, P(y_i | do x_j) <=
     P(x_j, y_i) + 1 - P(x_j), needs no check of its own. Ingest makes every

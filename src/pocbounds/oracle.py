@@ -62,10 +62,6 @@ from .queryir import (
 from .engine import _evidence_divisor
 
 
-class Infeasible(ValueError):
-    """The data admit no joint response-type distribution."""
-
-
 def _closed_form(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fraction]:
     """Tight (min, max) of a feasible, non-ZERO query's joint probability."""
     arms = range(1, dataset.space.m + 1)
@@ -111,15 +107,7 @@ def _exact_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fract
     """Tight (min, max) in exact arithmetic; conditional queries are divided
     by the exact evidence probability, mirroring the engine's conditioning rule.
     """
-    # Each row of the marginals is a transportation problem whose demands
-    # D_j(y) must be >= 0: the data admit a model iff no cell is violated.
-    if dataset.validation.violations:
-        j, i, _ = dataset.validation.violations[0]
-        raise Infeasible(
-            "experimental and observational data admit no joint response-type distribution: "
-            f"P(y{i} | do x{j}) = {dataset.exact_do(j, i)}"
-            f" < P(x{j}, y{i}) = {dataset.exact_joint(j, i)}"
-        )
+    dataset.check_consistent()
     vmin = vmax = Fraction(0)
     if cq.kind != ZERO:
         vmin, vmax = _closed_form(dataset, cq)

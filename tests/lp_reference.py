@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from pocbounds.model import Dataset
-from pocbounds.oracle import Infeasible
+from pocbounds.model import Dataset, Infeasible
 from pocbounds.queryir import ZERO, CanonicalQuery
 
 from arm_lp_reference import _solve_min_exact
@@ -96,7 +95,7 @@ def reference_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fr
         c = _objective(dataset, types, cq.terms, cq.evidence_x, cq.evidence_y)
         status_lo, vmin = _solve_min_exact(A, b, c)
         if status_lo == "infeasible":
-            raise Infeasible("no joint response-type distribution")
+            raise Infeasible("no joint response-type distribution", ())
         status_hi, neg_vmax = _solve_min_exact(A, b, [-v for v in c])
         assert (status_lo, status_hi) == ("optimal", "optimal")
         vmax = -neg_vmax

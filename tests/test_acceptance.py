@@ -10,10 +10,12 @@ import time
 
 import pytest
 
-from pocbounds.engine import ZeroEvidenceProbability, bound, tian_pearl
+from pocbounds.engine import ZeroEvidenceProbability, bound
 from pocbounds.oracle import tight_bounds
 from pocbounds.queryir import STANDARD, CounterfactualTerm, Query, canonicalize
 from pocbounds.simgen import export_csv, random_model, random_query, run_simulation
+
+from tian_pearl_reference import tian_pearl
 
 SIZES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 VARIANTS = ["plain", "x", "y", "xy"]

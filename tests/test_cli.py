@@ -56,17 +56,18 @@ class TestBound:
         assert "oracle: [0.063333, 0.098889]" in out
         assert "oracle containment: ok" in out
 
-    def test_strict_rejects_inconsistent_data(self, tmp_path, capsys):
-        data = write_data(tmp_path, [[2, 8], [5, 5]], [[5, 0], [2, 3]])
-        code = main(["bound", "--data", data, "--query", "P(y1_x1)", "--strict"])
-        assert code == 2
-        assert "strict mode" in capsys.readouterr().err
-
-    def test_non_strict_computes_anyway(self, tmp_path, capsys):
+    def test_refuses_inconsistent_data(self, tmp_path, capsys):
+        # An exact query too: no model fits the data, so there is nothing to bound.
         data = write_data(tmp_path, [[2, 8], [5, 5]], [[5, 0], [2, 3]])
         code = main(["bound", "--data", data, "--query", "P(y1_x1)"])
-        assert code == 0
-        assert capsys.readouterr().out.strip() == "[0.200000, 0.200000]"
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "inconsistent data: experimental and observational data admit no joint "
+            "response-type distribution: P(y1 | do x1) = 1/5 < P(x1, y1) = 1/2",
+            "  x1,y1: lower violated by 0.3",
+        ]
 
 
 class TestOracleCommand:
@@ -166,8 +167,10 @@ class TestReproduce:
 
 class TestErrorPaths:
     def test_unknown_subcommand(self, capsys):
-        assert main(["frobnicate"]) == 1
-        assert "error:" in capsys.readouterr().err
+        strict = ["bound", "--data", TREATMENT, "--query", "P(y1_x1)", "--strict"]
+        for argv in (["frobnicate"], strict):
+            assert main(argv) == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_missing_required_argument(self, capsys):
         assert main(["bound", "--data", TREATMENT]) == 1
@@ -247,11 +250,11 @@ class TestErrorPaths:
         data = write_data(tmp_path, [[2, 8], [5, 5]], [[5, 0], [2, 3]])
         code = main(["oracle", "--data", data, "--query", "P(y1_x1, y2_x2)"])
         assert code == 1
-        assert "oracle error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("inconsistent data: ")
 
     # The consistency gap, 5e-7, is inside the 1e-6 slack that probability
     # cells and sums get at ingest. The consistency check takes no slack, so
-    # the table fails validation, as it fails the engine's 1e-9 check.
+    # the table fails validation.
     NEAR_INCONSISTENT = {
         "treatments": ["x1", "x2"],
         "outcomes": ["y1", "y2"],
@@ -263,17 +266,32 @@ class TestErrorPaths:
     # upper end by the same gap; the report names the one bad cell.
     NEAR_INCONSISTENT_CELLS = ["  x1,y1: lower violated by 5e-07"]
 
-    def _bound_near_inconsistent(self, tmp_path, capsys, *flags):
+    def _near_inconsistent(self, tmp_path, capsys, command, query, *flags):
         path = tmp_path / "near.json"
         path.write_text(json.dumps(self.NEAR_INCONSISTENT), encoding="utf-8")
-        code = main(["bound", "--data", str(path), *flags, "--query", "P(y1_x1, y2_x2)"])
-        return code, capsys.readouterr().err
+        code = main([command, "--data", str(path), *flags, "--query", query])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
 
-    def test_strict_refuses_near_inconsistent_probabilities(self, tmp_path, capsys):
-        code, err = self._bound_near_inconsistent(tmp_path, capsys, "--strict")
-        assert code == 2
-        lines = err.splitlines()
-        assert lines[0] == "strict mode: dataset fails consistency validation"
+    def test_every_entry_point_refuses_near_inconsistent_data(self, tmp_path, capsys):
+        # Plain, conditional, exact and zero queries, with and without the
+        # oracle: one rule, one message, nothing on stdout.
+        runs = [
+            ("bound", "P(y1_x1, y2_x2)"),
+            ("bound", "P(y1_x2 | x1, y1)", "--oracle"),
+            ("bound", "P(y2_x1)"),
+            ("bound", "P(y1_x1, x1, y2)"),
+            ("oracle", "P(y1_x1, y2_x2)"),
+            ("oracle", "P(y1_x2 | x1, y1)"),
+        ]
+        errs = set()
+        for run in runs:
+            code, out, err = self._near_inconsistent(tmp_path, capsys, *run)
+            assert (code, out) == (1, ""), run
+            errs.add(err)
+        assert len(errs) == 1
+        lines = errs.pop().splitlines()
+        assert lines[0].startswith("inconsistent data: ")
         assert lines[1:] == self.NEAR_INCONSISTENT_CELLS
 
     def test_validate_lists_near_inconsistent_cells(self, tmp_path, capsys):
@@ -283,24 +301,21 @@ class TestErrorPaths:
         out = capsys.readouterr().out.splitlines()
         assert out == ["validation: 1 violation(s)", *self.NEAR_INCONSISTENT_CELLS]
 
-    def test_engine_infeasible_interval_not_blamed_on_oracle(self, tmp_path, capsys):
+    def test_inconsistent_data_not_blamed_on_oracle(self, tmp_path, capsys):
         # The report must name the data, not the oracle.
-        code, err = self._bound_near_inconsistent(tmp_path, capsys)
+        code, _, err = self._near_inconsistent(
+            tmp_path, capsys, "bound", "P(y1_x2 | x1, y1)", "--oracle"
+        )
         assert code == 1
-        assert err.startswith("inconsistent data: infeasible interval:")
         assert "oracle" not in err
 
-    def test_engine_infeasible_interval_names_the_node(self, tmp_path, capsys):
-        code, err = self._bound_near_inconsistent(tmp_path, capsys)
+    def test_inconsistent_data_names_the_cell_exactly(self, tmp_path, capsys):
+        code, _, err = self._near_inconsistent(tmp_path, capsys, "bound", "P(y1_x1, y2_x2)")
         assert code == 1
-        first = err.splitlines()[0]
-        assert first.startswith("inconsistent data: infeasible interval:")
-        assert first.endswith("at node P(y1_x1, x2, y2)")
-
-    def test_engine_infeasible_interval_names_the_data_cell(self, tmp_path, capsys):
-        code, err = self._bound_near_inconsistent(tmp_path, capsys)
-        assert code == 1
-        assert err.splitlines()[1:] == self.NEAR_INCONSISTENT_CELLS
+        assert err.splitlines()[0] == (
+            "inconsistent data: experimental and observational data admit no joint "
+            "response-type distribution: P(y1 | do x1) = 3/10 < P(x1, y1) = 600001/2000000"
+        )
 
 
 def test_cli_import_loads_no_numpy():

@@ -7,14 +7,14 @@ from pocbounds.engine import (
     MAX_TERMS,
     BoundResult,
     BoundTrace,
-    NotBinary,
     ZeroEvidenceProbability,
     bound,
-    tian_pearl,
 )
-from pocbounds.model import dataset_from_counts, dataset_from_probs
+from pocbounds.model import Infeasible, dataset_from_counts, dataset_from_probs
 from pocbounds.queryir import CounterfactualTerm, Query, UnsupportedQuery
 from pocbounds.simgen import random_model
+
+from tian_pearl_reference import NotBinary, tian_pearl
 
 
 def f3(v: float) -> str:
@@ -186,7 +186,14 @@ class TestDegenerateKinds:
         ds = dataset_from_counts([[5, 5], [5, 5]], [[5, 0], [3, 2]])
         with pytest.raises(ZeroEvidenceProbability) as exc:
             bound(ds, "P(y1_x2 | x1, y2)")
-        assert "P(x1,y2)" in str(exc.value)
+        assert "P(x1, y2)" in str(exc.value)
+
+    def test_inconsistent_data_refused(self):
+        # x1,y1 is violated by 5e-7, inside the ingest slack for probabilities.
+        ds = dataset_from_probs([[0.3, 0.7], [0.5, 0.5]], [[0.3000005, 0.1999995], [0.2, 0.3]])
+        with pytest.raises(Infeasible) as exc:
+            bound(ds, "P(y1_x2 | x1, y1)")
+        assert exc.value.violations == ds.validation.violations
 
 
 class TestEvaluatorControls:

@@ -12,8 +12,8 @@ import pytest
 
 from pocbounds.engine import ZeroEvidenceProbability
 from pocbounds.frechet import EPS_NUM
-from pocbounds.model import dataset_from_counts
-from pocbounds.oracle import Infeasible, _exact_bounds
+from pocbounds.model import Infeasible, dataset_from_counts
+from pocbounds.oracle import _exact_bounds
 from pocbounds.queryir import EXACT, STANDARD, ZERO, CounterfactualTerm, Query, canonicalize
 
 from arm_lp_reference import arm_lp_bounds

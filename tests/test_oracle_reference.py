@@ -10,8 +10,8 @@ import pytest
 
 from pocbounds.cli import _REPRODUCE_BOUNDS, fixture_path
 from pocbounds.engine import ZeroEvidenceProbability
-from pocbounds.model import dataset_from_counts, load_dataset
-from pocbounds.oracle import Infeasible, _exact_bounds
+from pocbounds.model import Infeasible, dataset_from_counts, load_dataset
+from pocbounds.oracle import _exact_bounds
 from pocbounds.queryir import EXACT, STANDARD, ZERO, canonicalize, parse_query
 from pocbounds.simgen import counts_from_masses, random_model
 

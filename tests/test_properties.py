@@ -1,16 +1,18 @@
 """Randomized invariants across module boundaries."""
 
-import itertools
+import random
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pocbounds.engine import bound
-from pocbounds.frechet import InfeasibleInterval, make_interval
-from pocbounds.model import dataset_from_counts, dataset_from_probs
+from pocbounds.engine import ZeroEvidenceProbability, bound
+from pocbounds.frechet import make_interval
+from pocbounds.model import Infeasible, dataset_from_counts, dataset_from_probs
 from pocbounds.oracle import tight_bounds
 from pocbounds.queryir import (
+    EXACT,
     STANDARD,
+    ZERO,
     CounterfactualTerm,
     Query,
     canonicalize,
@@ -19,6 +21,7 @@ from pocbounds.queryir import (
 )
 from pocbounds.simgen import counts_from_masses
 
+from conftest import FORMS, draw_kind
 from lp_reference import reference_feasible
 
 import pytest
@@ -142,18 +145,28 @@ class TestEngineInvariants:
                 iv = bound(ds, f"P(y{i}_x{j}, x{1 + j % m})").interval
                 assert 0.0 <= iv.lo <= iv.hi <= 1.0
 
-    @settings(max_examples=30, deadline=None)
-    @given(case=near_boundary_tables())
-    def test_bounds_cross_only_on_data_failing_validation(self, case):
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=near_boundary_tables(), seed=st.integers(0, 2**32 - 1))
+    def test_bound_and_oracle_refuse_exactly_the_data_failing_validation(self, case, seed):
+        # An InfeasibleInterval from either path escapes and fails the test.
         m, n, ds = case
-        cells = list(itertools.product(range(1, m + 1), range(1, n + 1)))
-        for (j, i), (p, q) in itertools.product(cells, cells):
-            if p == j:
-                continue
+        rng = random.Random(seed)
+
+        def refusal(run, query):
             try:
-                bound(ds, Query(terms=(CounterfactualTerm(j, i),), evidence_x=p, evidence_y=q))
-            except InfeasibleInterval:
-                assert not ds.validation.ok
+                run(ds, query)
+            except Infeasible as exc:
+                return str(exc)
+            except ZeroEvidenceProbability:
+                pass
+            return None
+
+        for form in FORMS:
+            for kind in (STANDARD, ZERO) if form in ("plain", "y") else (STANDARD, ZERO, EXACT):
+                q = draw_kind(rng, m, n, form, kind)
+                message = refusal(bound, q)
+                assert message == refusal(tight_bounds, q), q
+                assert (message is not None) == (not ds.validation.ok), q
 
 
 class TestOracleInvariants:

@@ -11,6 +11,7 @@ import pickle
 import pytest
 from conftest import TREATMENT_EXP, TREATMENT_OBS
 
+import pocbounds
 from pocbounds import bound, run_simulation
 from pocbounds.frechet import Interval
 from pocbounds.model import DataError, ProblemSpace, dataset_from_counts
@@ -157,3 +158,47 @@ def test_interval_unpacks_and_equals_its_ends():
     lo, hi = Interval(0.25, 0.75)
     assert (lo, hi) == (0.25, 0.75)
     assert Interval(0.25, 0.75) == (0.25, 0.75)
+
+
+def test_public_api_is_pinned():
+    # Removing or adding an export is a deliberate change: it edits this list.
+    assert sorted(pocbounds.__all__) == [
+        "BoundResult",
+        "BoundTrace",
+        "CanonicalQuery",
+        "CounterfactualTerm",
+        "DataError",
+        "Dataset",
+        "IndexOutOfRange",
+        "Infeasible",
+        "InfeasibleInterval",
+        "Interval",
+        "ProblemSpace",
+        "Query",
+        "QuerySyntaxError",
+        "ShapeMismatch",
+        "SimulationRecord",
+        "SimulationSummary",
+        "UnsupportedQuery",
+        "ValidationReport",
+        "Violation",
+        "ZeroEvidenceProbability",
+        "ZeroGrandTotal",
+        "ZeroRowTotal",
+        "bound",
+        "canonicalize",
+        "dataset_from_counts",
+        "dataset_from_json",
+        "dataset_from_probs",
+        "export_csv",
+        "format_query",
+        "generate_sample",
+        "load_dataset",
+        "make_interval",
+        "parse_query",
+        "run_simulation",
+        "tight_bounds",
+        "validate_indices",
+        "write_csv",
+    ]
+    assert pocbounds.Infeasible is pocbounds.model.Infeasible
