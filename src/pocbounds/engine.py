@@ -77,8 +77,6 @@ class ZeroEvidenceProbability(ValueError):
     """Conditioning on evidence whose probability is (numerically) zero."""
 
     def __init__(self, label: str, value: float):
-        self.label = label
-        self.value = value
         super().__init__(f"evidence {label} has probability {value!r}; cannot condition on it")
 
 

@@ -20,10 +20,6 @@ class InfeasibleInterval(ValueError):
     """A lower bound exceeded an upper bound by more than EPS_NUM."""
 
     def __init__(self, lo: float, hi: float, lo_label: str = "lower", hi_label: str = "upper"):
-        self.lo = lo
-        self.hi = hi
-        self.lo_label = lo_label
-        self.hi_label = hi_label
         super().__init__(f"infeasible interval: {lo_label} = {lo!r} exceeds {hi_label} = {hi!r}")
 
 

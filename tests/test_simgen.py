@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pocbounds.simgen import (
     QUERY,
     SimulationRecord,
     SimulationSummary,
+    _draw_attempt,
     counts_from_masses,
     export_csv,
     generate_sample,
@@ -17,6 +19,8 @@ from pocbounds.simgen import (
     run_simulation,
     write_csv,
 )
+
+from sampler_reference import _draw_fractions, _draw_observational, _experimental_from_fractions
 
 
 def rng_for(seed, idx):
@@ -39,18 +43,22 @@ class TestRandomModels:
 
 class TestModelDraw:
     def test_fractions_partition_unit_mass(self):
+        # differences of sorted cuts that are multiples of 2**-53: exact, and
+        # summing to exactly 1
         for idx in range(20):
             f, _ = generate_sample(rng_for(3, idx))
-            assert len(f) == 9
-            assert np.all(f >= 0)
-            assert float(np.sum(f)) == pytest.approx(1.0, abs=1e-12)
+            assert isinstance(f, tuple) and len(f) == 9
+            assert all(isinstance(v, float) and v >= 0 for v in f)
+            assert sum(map(Fraction, f)) == 1
+            assert all((Fraction(v) * 2**53).denominator == 1 for v in f)
 
     def test_experimental_rows_match_fractions(self):
-        f, ds = generate_sample(rng_for(11, 0))
-        assert ds.p_do(1, 1) == pytest.approx(f[0] + f[1] + f[2], abs=1e-9)
-        assert ds.p_do(1, 2) == pytest.approx(f[3] + f[4] + f[5], abs=1e-9)
-        assert ds.p_do(2, 1) == pytest.approx(f[0] + f[3] + f[6], abs=1e-9)
-        assert ds.p_do(2, 3) == pytest.approx(f[2] + f[5] + f[8], abs=1e-9)
+        # the do-rows are the masses' marginals exactly, not up to a lift
+        for idx in range(50):
+            f, ds = generate_sample(rng_for(11, idx))
+            for a in range(3):
+                assert ds.exact_do(1, a + 1) == sum(Fraction(f[3 * a + b]) for b in range(3))
+                assert ds.exact_do(2, a + 1) == sum(Fraction(f[3 * b + a]) for b in range(3))
 
     def test_samples_satisfy_consistency(self):
         for idx in range(25):
@@ -68,6 +76,25 @@ class TestModelDraw:
         summary = run_simulation(5, seed=2)
         for rec in summary.records:
             assert rec.real_value == rec.fractions[0]
+
+
+class TestBatchedDraw:
+    def test_matches_scalar_reference(self):
+        # One call of 13 uniforms consumes the doubles the scalar draws did,
+        # in the same order, so every float, rejection and later draw agrees.
+        rejected = 0
+        for idx in range(2000):
+            batched, scalar = rng_for(5, idx), rng_for(5, idx)
+            f, exp, obs = _draw_attempt(batched)
+            ref_f = _draw_fractions(scalar)
+            ref_exp = _experimental_from_fractions(ref_f)
+            ref_obs = _draw_observational(scalar, ref_exp)
+            assert f == tuple(ref_f.tolist())
+            assert exp == [[float(v) for v in row] for row in ref_exp]
+            assert obs == ref_obs
+            assert batched.random() == scalar.random()
+            rejected += obs is None
+        assert 0 < rejected < 2000
 
 
 class TestReproducibility:
@@ -162,10 +189,11 @@ class TestCsv:
         assert out.read_text(encoding="utf-8") == export_csv(summary)
 
     def test_csv_bytes_pinned(self):
-        # Ingest lifts every probability to a rational; any change in how it
-        # does so, or in the engine, moves these bytes.
+        # Each sample reaches ingest as exact integer counts; any change in
+        # the draw, in how the counts are written, or in the engine moves
+        # these bytes.
         digest = hashlib.sha256(export_csv(run_simulation(200, seed=0)).encode("utf-8")).hexdigest()
-        assert digest == "0ae021a6b644a848b657ea1a8b45dbc2e4efbd3e051bd6f96786b2fe3efe4a2f", (
+        assert digest == "e0e756b1a6ffe5aff65a30423eeeffa1eafcfa34474acab39671243a740400e9", (
             "run_simulation(200, seed=0) CSV changed; the bytes also depend on numpy's "
             "PCG64 and SeedSequence streams, so a numpy upgrade can move them too"
         )
