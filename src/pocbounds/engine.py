@@ -185,7 +185,7 @@ class _Evaluator:
         # P(y_i under x_j, joint with observed Y = y_i)
         ds, j, i = self.ds, t.treatment, t.outcome
         lower = [
-            (f"P(x{j},y{i})", ds.p_joint(j, i)),
+            (f"P(x{j}, y{i})", ds.p_joint(j, i)),
             (f"P(y{i}_x{j})+P(y{i})-1", ds.p_do(j, i) + ds.p_y(i) - 1.0),
         ]
         upper = [
@@ -243,7 +243,7 @@ class _Evaluator:
         ]
         upper = [
             (f"P(y{i}_x{j})-P(x{j},y{i})", ds.p_do(j, i) - ds.p_joint(j, i)),
-            (f"P(x{p},y{q})", ds.p_joint(p, q)),
+            (f"P(x{p}, y{q})", ds.p_joint(p, q)),
         ]
         return self._node((t,), p, q, "T4", lower, upper, ())
 

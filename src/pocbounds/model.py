@@ -7,17 +7,18 @@ treatment.
 A Dataset holds both tables as integers: an experimental row j is
 exp_num[j] / exp_den[j], an observational cell obs_num[j][i] / obs_den.
 Counts are stored as given, with the row total or the grand total as
-denominator. Each cell of a probability table is lifted to the closest
-rational with denominator at most 10**9, the value Fraction.limit_denominator
-gives, found by a continued-fraction walk in plain ints (_lift); each row (or
-the whole table) is then scaled to integers over the least common
-denominator, so it sums to its denominator exactly. No Fraction is built at
-ingest. The floats the engine reads, P(y_i | do x_j), P(x_j, y_i) and the
-marginals P(x_j) and P(y_i), are computed once at ingest by integer true
-division, which Python rounds correctly: each equals float() of its exact
-rational, and the record is immutable, so the two cannot drift apart. The
-oracle asks for the rationals through the exact_* accessors, which build each
-Fraction on demand.
+denominator. A probability cell is lifted to the closest rational with
+denominator at most 10**9, Fraction.limit_denominator's value, by a
+continued-fraction walk in plain ints (_lift); each row (or the whole table)
+is then scaled to integers over the least common denominator, so it sums to
+its denominator exactly. A plain int count or float probability skips the
+abstract-type checks; any other cell (a bool, a NumPy scalar) takes them,
+with the same messages. No Fraction is built at ingest. The floats the
+engine reads, P(y_i | do x_j), P(x_j, y_i) and the marginals P(x_j) and
+P(y_i), are computed once at ingest by integer true division, which Python
+rounds correctly: each equals float() of its exact rational, and the record
+is immutable, so the two cannot drift apart. The oracle asks for the
+rationals through the exact_* accessors, which build each Fraction on demand.
 """
 
 from __future__ import annotations
@@ -178,7 +179,9 @@ class Dataset(NamedTuple):
 
 
 def _is_row(value) -> bool:
-    return isinstance(value, Sized) and not isinstance(value, (str, bytes))
+    return type(value) in (list, tuple) or (
+        isinstance(value, Sized) and not isinstance(value, (str, bytes))
+    )
 
 
 def _check_shape(matrix: Sequence[Sequence], space: ProblemSpace | None, what: str):
@@ -251,7 +254,9 @@ def _cells(table, counts: bool, side: str) -> list[list]:
     for j, row in enumerate(table, start=1):
         cells = []
         for i, v in enumerate(row, start=1):
-            if isinstance(v, bool) or not isinstance(v, Integral if counts else Real):
+            if type(v) is not (int if counts else float) and (
+                isinstance(v, bool) or not isinstance(v, Integral if counts else Real)
+            ):
                 rule = "be nonnegative integers" if counts else "be numbers"
             elif counts:
                 rule = None if v >= 0 else "be nonnegative integers"
@@ -341,10 +346,10 @@ def _ingest(
         exp_den,
         obs_num,
         obs_den,
-        tuple(tuple(c / d for c in row) for row, d in zip(exp_num, exp_den)),
-        tuple(tuple(c / obs_den for c in row) for row in obs_num),
-        tuple(sum(row) / obs_den for row in obs_num),
-        tuple(sum(col) / obs_den for col in zip(*obs_num)),
+        tuple([tuple([c / d for c in row]) for row, d in zip(exp_num, exp_den)]),
+        tuple([tuple([c / obs_den for c in row]) for row in obs_num]),
+        tuple([sum(row) / obs_den for row in obs_num]),
+        tuple([sum(col) / obs_den for col in zip(*obs_num)]),
         ValidationReport(not violations, tuple(violations)),
     )
 

@@ -9,11 +9,11 @@ and `random_query` draw the random cases of the tests and scripts.
 
 Each simulation sample draws a random structural model, one RNG call of
 thirteen uniforms per attempt: nine response-type masses via eight sorted
-cuts, then an observational layer inside the consistency envelope. Every
-cell reaches ingest as exact integer counts, so the experimental table is
-the masses' marginals exactly. The real value of P(y1_x1, y1_x2) is the first
-mass f[0] by construction, so every sample checks containment and measures
-the gap of the derived bounds against a known ground truth.
+cuts, then an observational layer inside the consistency envelope. Each
+table reaches ingest as exact integers on its own scale, so the experimental
+table is the masses' marginals exactly. The real value of P(y1_x1, y1_x2) is
+f[0] by construction, so every sample checks containment and measures the
+gap of the derived bounds against a known ground truth.
 
 NumPy supplies the random streams. It is imported inside the functions that
 draw, so importing the package, or its CLI, does not load it.
@@ -110,51 +110,56 @@ def _draw_attempt(rng) -> tuple:
     that sum to 1; f[3*a + b] is the mass of the type mapping x1 -> y_{a+1},
     x2 -> y_{b+1}, and the do-rows are its exact marginals. Each observational
     cell is low + (high - low) * u, as Generator.uniform(low, high) computes it.
+    The envelope check is unrolled: a row's P(x_j) is (a + b) + c, as sum() forms it.
     """
     *cuts, u1, u2, u3, u4, u5 = rng.random(13).tolist()
-    edges = [0.0, *sorted(cuts), 1.0]
-    f = tuple(b - a for a, b in zip(edges, edges[1:]))
-    exp = [
-        [f[0] + f[1] + f[2], f[3] + f[4] + f[5], f[6] + f[7] + f[8]],
-        [f[0] + f[3] + f[6], f[1] + f[4] + f[7], f[2] + f[5] + f[8]],
-    ]
-    p_y1_x1, p_y2_x1 = exp[0][0], exp[0][1]
-    p_x1y1 = p_y1_x1 * u1
-    p_x1y2 = p_y2_x1 * u2
+    cuts.sort()
+    c1, c2, c3, c4, c5, c6, c7, c8 = cuts
+    f = (c1, c2 - c1, c3 - c2, c4 - c3, c5 - c4, c6 - c5, c7 - c6, c8 - c7, 1.0 - c8)
+    f0, f1, f2, f3, f4, f5, f6, f7, f8 = f
+    do11, do12, do13 = f0 + f1 + f2, f3 + f4 + f5, f6 + f7 + f8
+    do21, do22, do23 = f0 + f3 + f6, f1 + f4 + f7, f2 + f5 + f8
+    exp = [[do11, do12, do13], [do21, do22, do23]]
+    p_x1y1 = do11 * u1
+    p_x1y2 = do12 * u2
     lo = p_x1y1 + p_x1y2
-    hi = min(p_x1y1 + 1.0 - p_y1_x1, p_x1y2 + 1.0 - p_y2_x1)
+    hi = min(p_x1y1 + 1.0 - do11, p_x1y2 + 1.0 - do12)
     # lo <= hi always: their difference is bounded by P(y1|do(x1)) +
     # P(y2|do(x1)) - 1 <= 0, so this draw cannot fail.
     p_x1 = lo + (hi - lo) * u3
     p_x1y3 = p_x1 - p_x1y1 - p_x1y2
     p_x2 = 1.0 - p_x1
-    p_x2y1 = min(exp[1][0], p_x2) * u4
-    p_x2y2 = min(exp[1][1], p_x2 - p_x2y1) * u5
+    p_x2y1 = min(do21, p_x2) * u4
+    p_x2y2 = min(do22, p_x2 - p_x2y1) * u5
     p_x2y3 = p_x2 - p_x2y1 - p_x2y2
-    obs = [[p_x1y1, p_x1y2, p_x1y3], [p_x2y1, p_x2y2, p_x2y3]]
-    for j in range(2):
-        p_xj = sum(obs[j])
-        for i in range(3):
-            if not (obs[j][i] <= exp[j][i] <= obs[j][i] + 1.0 - p_xj):
-                return f, exp, None
-    return f, exp, obs
+    s1, s2 = p_x1y1 + p_x1y2 + p_x1y3, p_x2y1 + p_x2y2 + p_x2y3
+    if (
+        p_x1y1 <= do11 <= p_x1y1 + 1.0 - s1 and p_x1y2 <= do12 <= p_x1y2 + 1.0 - s1
+        and p_x1y3 <= do13 <= p_x1y3 + 1.0 - s1 and p_x2y1 <= do21 <= p_x2y1 + 1.0 - s2
+        and p_x2y2 <= do22 <= p_x2y2 + 1.0 - s2 and p_x2y3 <= do23 <= p_x2y3 + 1.0 - s2
+    ):
+        return f, exp, [[p_x1y1, p_x1y2, p_x1y3], [p_x2y1, p_x2y2, p_x2y3]]
+    return f, exp, None
 
 
 def generate_sample(rng) -> tuple:
     """One consistent (fractions, dataset) pair; redraws until valid.
 
-    rng is a NumPy Generator, and fractions the tuple of nine masses. Each
-    cell is a binary fraction, written exactly as an integer over the largest
-    denominator of the two tables; a difference that rounds below 0 counts 0.
+    rng is a NumPy Generator, and fractions the tuple of nine masses. A
+    do-cell, a sum of masses, is a multiple of 2**-53 in [0, 1]: it is written
+    exactly as v * 2**53, so each experimental row sums to 2**53. Each
+    observational cell is written exactly as its binary ratio over the largest
+    denominator of the six; a difference that rounds below 0 counts 0.
     """
     for _ in range(MAX_REDRAWS):
         f, exp, obs = _draw_attempt(rng)
         if obs is None:
             continue
-        ratios = [max(0.0, v).as_integer_ratio() for row in exp + obs for v in row]
-        scale = max(d for _, d in ratios)
+        ratios = [max(0.0, v).as_integer_ratio() for row in obs for v in row]
+        scale = max([d for _, d in ratios])
         c = [p * (scale // d) for p, d in ratios]
-        dataset = model.dataset_from_counts([c[0:3], c[3:6]], [c[6:9], c[9:12]])
+        exp_counts = [[int(v * 2.0**53) for v in row] for row in exp]
+        dataset = model.dataset_from_counts(exp_counts, [c[:3], c[3:]])
         if dataset.validation.ok:
             return f, dataset
     raise RuntimeError("no consistent sample after the redraw cap")

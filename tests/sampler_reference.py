@@ -47,3 +47,26 @@ def _draw_observational(rng, exp: list[list[float]]) -> list[list[float]] | None
             if not (obs[j][i] <= exp[j][i] <= obs[j][i] + 1.0 - p_xj):
                 return None
     return obs
+
+
+def common_scale_sample(rng):
+    """generate_sample with every cell over the two tables' largest denominator.
+
+    The simulation writes the do-rows over 2**53 and the observational table
+    over its own largest denominator instead; the rationals, and so the
+    record's floats, accessors and report, must be the same.
+    """
+    from pocbounds.model import dataset_from_counts
+    from pocbounds.simgen import MAX_REDRAWS, _draw_attempt
+
+    for _ in range(MAX_REDRAWS):
+        f, exp, obs = _draw_attempt(rng)
+        if obs is None:
+            continue
+        ratios = [max(0.0, v).as_integer_ratio() for row in exp + obs for v in row]
+        scale = max(d for _, d in ratios)
+        c = [p * (scale // d) for p, d in ratios]
+        dataset = dataset_from_counts([c[0:3], c[3:6]], [c[6:9], c[9:12]])
+        if dataset.validation.ok:
+            return f, dataset
+    raise RuntimeError("no consistent sample after the redraw cap")

@@ -454,6 +454,43 @@ def test_ingest_error(builder, exp, obs, error, prefix):
     assert str(info.value).startswith(prefix)
 
 
+@pytest.mark.parametrize("builder", ["probs", "json probs"])
+@pytest.mark.parametrize("v", [float("nan"), float("inf"), float("-inf")])
+def test_nonfinite_probability_rejected(builder, v):
+    with pytest.raises(DataError) as info:
+        _BUILDERS[builder](P_EXP_2x2, [[0.3, 0.1], [0.2, v]])
+    assert type(info.value) is DataError
+    assert str(info.value) == f"observational probabilities must lie in [0,1], got {v!r} at (x2, y2)"
+
+
+class TestCellAndRowTypes:
+    """Cells other than plain ints and floats, and rows other than lists, give
+    the Dataset their plain-list equivalent gives."""
+
+    def test_tuple_rows(self):
+        counts = dataset_from_counts(EXP_2x2, OBS_2x2)
+        assert dataset_from_counts(tuple(map(tuple, EXP_2x2)), OBS_2x2) == counts
+        probs = dataset_from_probs(P_EXP_2x2, P_OBS_2x2)
+        assert dataset_from_probs(P_EXP_2x2, tuple(map(tuple, P_OBS_2x2))) == probs
+
+    def test_numpy_cells_and_rows(self):
+        import numpy as np
+
+        counts = dataset_from_counts(EXP_2x2, OBS_2x2)
+        assert dataset_from_counts([[np.int64(c) for c in row] for row in EXP_2x2], OBS_2x2) == counts
+        assert dataset_from_counts(EXP_2x2, [[np.int64(c) for c in row] for row in OBS_2x2]) == counts
+        assert dataset_from_counts(np.array(EXP_2x2), np.array(OBS_2x2)) == counts
+        assert dataset_from_counts([np.array(row) for row in EXP_2x2], OBS_2x2) == counts
+        probs = dataset_from_probs(P_EXP_2x2, P_OBS_2x2)
+        assert dataset_from_probs(np.array(P_EXP_2x2), np.array(P_OBS_2x2)) == probs
+        assert dataset_from_probs(P_EXP_2x2, [[np.float64(v) for v in row] for row in P_OBS_2x2]) == probs
+
+    def test_int_cells_in_probability_tables(self):
+        ds = dataset_from_probs([[1, 0], [0.3, 0.7]], [[0.5, 0], [0.2, 0.3]])
+        assert ds == dataset_from_probs([[1.0, 0.0], [0.3, 0.7]], [[0.5, 0.0], [0.2, 0.3]])
+        assert ds.exact_do(1, 1) == 1 and ds.exact_joint(1, 2) == 0
+
+
 @pytest.mark.parametrize(
     "doc, prefix",
     [

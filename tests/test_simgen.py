@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,7 +21,12 @@ from pocbounds.simgen import (
     write_csv,
 )
 
-from sampler_reference import _draw_fractions, _draw_observational, _experimental_from_fractions
+from sampler_reference import (
+    _draw_fractions,
+    _draw_observational,
+    _experimental_from_fractions,
+    common_scale_sample,
+)
 
 
 def rng_for(seed, idx):
@@ -95,6 +101,26 @@ class TestBatchedDraw:
             assert batched.random() == scalar.random()
             rejected += obs is None
         assert 0 < rejected < 2000
+
+
+class TestIntegerLayout:
+    def test_two_scales_match_common_scale(self):
+        # Over 2**53 and the observational table's own denominator, or all
+        # twelve cells over the largest one: the same rationals and record.
+        for idx in range(200):
+            f, ds = generate_sample(rng_for(13, idx))
+            ref_f, ref = common_scale_sample(rng_for(13, idx))
+            assert f == ref_f
+            assert ds.exp_den == (2**53, 2**53)
+            assert (ds.do, ds.joint, ds.px, ds.py) == (ref.do, ref.joint, ref.px, ref.py)
+            assert ds.validation == ref.validation
+            for j, i in itertools.product((1, 2), (1, 2, 3)):
+                assert ds.exact_do(j, i) == ref.exact_do(j, i)
+                assert ds.exact_joint(j, i) == ref.exact_joint(j, i)
+            for j in (1, 2):
+                assert ds.exact_x(j) == ref.exact_x(j)
+            for i in (1, 2, 3):
+                assert ds.exact_y(i) == ref.exact_y(i)
 
 
 class TestReproducibility:
