@@ -43,7 +43,7 @@ TABLES = 180
 # Per table and form: the first PER_FORM queries drawn, plus any of the next
 # POOL - PER_FORM that a leave-one-out lower candidate decides.
 PER_FORM = 3
-POOL = 12
+POOL = 24
 
 
 def masses_table(rng: random.Random, m: int, n: int, skewed: bool):

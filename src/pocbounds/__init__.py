@@ -7,7 +7,7 @@ closed form over treatment arms serves as the tightness oracle, and a seeded
 simulation study measures bound quality on random models.
 """
 
-from .frechet import InfeasibleInterval, Interval, make_interval
+from .frechet import Interval
 from .model import (
     DataError,
     Dataset,
@@ -62,7 +62,6 @@ __all__ = [
     "Dataset",
     "IndexOutOfRange",
     "Infeasible",
-    "InfeasibleInterval",
     "Interval",
     "ProblemSpace",
     "Query",
@@ -85,7 +84,6 @@ __all__ = [
     "format_query",
     "generate_sample",
     "load_dataset",
-    "make_interval",
     "parse_query",
     "run_simulation",
     "tight_bounds",

@@ -9,12 +9,23 @@ against a min over upper-bound candidates; the recursion consumes the final
 clamped bounds of its subqueries, each evaluated once per call and cached on
 its canonical key, so `stats_evaluated` is the number of distinct subqueries.
 
-Traces record every candidate value before clamping (lower-bound branches go
-negative routinely), which branch won, and the child subquery traces. The
-candidate values live on the BoundTrace records only: to_json, and so
-`bound --trace`, prints the winning branches and the clamped ends.
-Conditional queries trace the joint event; the result interval is the joint
-interval divided by the evidence probability.
+Every candidate is a sum of table cells with integer coefficients, so the
+evaluator computes each one exactly, as a numerator over the dataset's
+common denominator den: cells and marginals are read from Dataset.do,
+joint, px and py, the constant 1 is den, and a node's interval is a pair of
+ints clamped to [0, den]. bound rounds each end once, dividing it by den,
+or by the evidence numerator for a conditional query; int / int true
+division rounds correctly. Every candidate is a valid bound, and
+consistent data admit a model, so no node's lower end exceeds its upper
+end.
+
+Traces record every candidate value before clamping, as its numerator over
+den (lower-bound branches go negative routinely), which branch won, and the
+child subquery traces. The candidate values live on the BoundTrace records
+only: to_json, and so `bound --trace`, prints the winning branches and the
+clamped ends as probabilities. Conditional queries trace the joint event;
+the result interval is the joint interval divided by the evidence
+probability.
 
 Leave-one-out pruning. For each term t of a k-term node, T5-T8 could also
 bound the event through the (k-1)-term plain subquery `rest` that leaves t
@@ -27,26 +38,19 @@ step changes an interval:
 * Upper. hi(rest) is never strictly below the node's other upper candidates
   (each P(term), P(evidence), each pair(term), decomp). If it is some P(t')
   it is one of them. Otherwise it is the decomp sum of rest, whose summands
-  are arm intervals clamped to >= 0; float addition is monotone, so the sum
-  is at least each summand. In T6 and T8 take the evidence arm x_p: each
-  upper candidate of (rest, x_p) is a candidate of the node or dominates
-  one, since P(x_p) >= P(x_p, y_q) and the T3 pair (t', x_p) dominates the
-  T4 pair (t', x_p, y_q). In T5 and T7 compare the two decomp sums arm by
-  arm, in the same order: each arm of rest has fewer terms or less evidence
-  than the node's arm, or the node skips that arm, and computed hi only
-  shrinks as terms or evidence are added.
+  are arm intervals clamped to >= 0, so the sum is at least each summand.
+  In T6 and T8 take the evidence arm x_p: each upper candidate of
+  (rest, x_p) is a candidate of the node or dominates one, since
+  P(x_p) >= P(x_p, y_q) and the T3 pair (t', x_p) dominates the T4 pair
+  (t', x_p, y_q). In T5 and T7 compare the two decomp sums arm by arm: each
+  arm of rest has fewer terms or less evidence than the node's arm, or the
+  node skips that arm, and hi only shrinks as terms or evidence are added.
 * Lower. lo(rest) <= hi(rest) <= min of P(t') over rest, since each P(t')
-  is an upper candidate of rest. Float rounding is monotone, so the cap
-  min(P(t')) + partner(t) - 1.0, computed with the same operations in the
-  same order as the candidate, is at least the candidate. The pair and
-  decomp children are evaluated first; `rest` is evaluated only when its
-  cap exceeds the best lower value found so far, so a skipped candidate
-  could at most have tied it.
+  is an upper candidate of rest, so the cap min(P(t')) + partner(t) - 1 is
+  at least the candidate. The pair and decomp children are evaluated first;
+  `rest` is evaluated only when its cap exceeds the best lower value found
+  so far, so a skipped candidate could at most have tied it.
 
-The one gap is float noise: make_interval swaps raw ends that cross by at
-most EPS_NUM, which can lift a node's hi by as much and break "hi only
-shrinks". tests/data/engine_corpus.json holds intervals computed
-with the full recursion, and the engine still reproduces them bit for bit.
 Skipped subqueries leave no trace and do not count in `stats_evaluated`.
 """
 
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .frechet import EPS_NUM, Interval, make_interval
+from .frechet import EPS_NUM, Interval
 from .model import Dataset
 from .queryir import (
     ZERO,
@@ -84,8 +88,9 @@ class BoundTrace(NamedTuple):
     """One derivation node: which theorem ran and which branches won.
 
     Candidate lists keep the raw branch values before clamping, negative
-    lower-bound candidates included. to_json leaves them out: it gives the
-    winning branches, the clamped ends and the children.
+    lower-bound candidates included, as exact numerators over the dataset's
+    den; lo and hi are the clamped ends divided by den. to_json leaves the
+    candidates out: it gives the winning branches, the ends and the children.
     """
 
     query: str
@@ -94,8 +99,8 @@ class BoundTrace(NamedTuple):
     upper_branch: str
     lo: float
     hi: float
-    lower_candidates: tuple[tuple[str, float], ...]
-    upper_candidates: tuple[tuple[str, float], ...]
+    lower_candidates: tuple[tuple[str, int], ...]
+    upper_candidates: tuple[tuple[str, int], ...]
     children: tuple["BoundTrace", ...]
 
     def to_json(self) -> dict:
@@ -123,7 +128,7 @@ class _Evaluator:
         self.ds = dataset
         self.memo: dict = {}
 
-    def eval(self, terms, ex, ey) -> tuple[Interval, BoundTrace]:
+    def eval(self, terms, ex, ey) -> tuple[tuple[int, int], BoundTrace]:
         key = (terms, ex, ey)
         hit = self.memo.get(key)
         if hit is None:
@@ -153,97 +158,99 @@ class _Evaluator:
         return self._evidence_node(terms, ex, ey, "T8")
 
     def _node(self, terms, ex, ey, theorem, lower, upper, children):
-        lo_label, lo_raw = max(lower, key=lambda cand: cand[1])
-        hi_label, hi_raw = min(upper, key=lambda cand: cand[1])
-        interval = make_interval(lo_raw, hi_raw, lo_label, hi_label)
+        lo_label, lo = max(lower, key=lambda cand: cand[1])
+        hi_label, hi = min(upper, key=lambda cand: cand[1])
+        den = self.ds.den
+        lo, hi = min(den, max(0, lo)), min(den, max(0, hi))
         trace = BoundTrace(
             query=subquery_label(terms, ex, ey),
             theorem=theorem,
             lower_branch=lo_label,
             upper_branch=hi_label,
-            lo=interval.lo,
-            hi=interval.hi,
+            lo=lo / den,
+            hi=hi / den,
             lower_candidates=tuple(lower),
             upper_candidates=tuple(upper),
             children=tuple(children),
         )
-        return interval, trace
+        return (lo, hi), trace
 
     # -- single-term forms ------------------------------------------------
 
     def _exact_point(self, t):
-        v = self.ds.p_do(t.treatment, t.outcome)
+        v = self.ds.do[t.treatment - 1][t.outcome - 1]
         label = f"P(y{t.outcome}_x{t.treatment})"
         return self._node((t,), None, None, "Exact", [(label, v)], [(label, v)], ())
 
     def _evidence_point(self, ex, ey):
-        v = self.ds.p_evidence(ex, ey)
+        v = self.ds.evidence(ex, ey)
         label = subquery_label((), ex, ey)
         return self._node((), ex, ey, "Exact", [(label, v)], [(label, v)], ())
 
     def _t1(self, t):
         # P(y_i under x_j, joint with observed Y = y_i)
         ds, j, i = self.ds, t.treatment, t.outcome
+        do, joint, py = ds.do[j - 1][i - 1], ds.joint[j - 1][i - 1], ds.py[i - 1]
         lower = [
-            (f"P(x{j}, y{i})", ds.p_joint(j, i)),
-            (f"P(y{i}_x{j})+P(y{i})-1", ds.p_do(j, i) + ds.p_y(i) - 1.0),
+            (f"P(x{j}, y{i})", joint),
+            (f"P(y{i}_x{j})+P(y{i})-1", do + py - ds.den),
         ]
         upper = [
-            (f"P(y{i}_x{j})", ds.p_do(j, i)),
-            (f"P(y{i})", ds.p_y(i)),
+            (f"P(y{i}_x{j})", do),
+            (f"P(y{i})", py),
         ]
         return self._node((t,), None, i, "T1", lower, upper, ())
 
     def _t2(self, t, q):
         # P(y_i under x_j, joint with observed Y = y_q), q != i
         ds, j, i = self.ds, t.treatment, t.outcome
-        base = ds.p_do(j, i) - 1.0 + ds.p_x(j) - ds.p_joint(j, i)
+        do, joint = ds.do[j - 1][i - 1], ds.joint[j - 1][i - 1]
+        base = do - ds.den + ds.px[j - 1] - joint
         # Per-p clamp sits inside the sum, as the formula is printed.
-        dual = sum(
-            max(0.0, base + ds.p_joint(p, q))
-            for p in range(1, ds.space.m + 1)
-            if p != j
-        )
+        dual = sum(max(0, base + row[q - 1]) for p, row in enumerate(ds.joint, start=1) if p != j)
         lower = [
-            ("0", 0.0),
-            (f"P(y{i}_x{j})+P(y{q})-1", ds.p_do(j, i) + ds.p_y(q) - 1.0),
+            ("0", 0),
+            (f"P(y{i}_x{j})+P(y{q})-1", do + ds.py[q - 1] - ds.den),
             ("sum_p", dual),
         ]
         upper = [
-            (f"P(y{i}_x{j})-P(x{j},y{i})", ds.p_do(j, i) - ds.p_joint(j, i)),
-            (f"P(y{q})-P(x{j},y{q})", ds.p_y(q) - ds.p_joint(j, q)),
+            (f"P(y{i}_x{j})-P(x{j},y{i})", do - joint),
+            (f"P(y{q})-P(x{j},y{q})", ds.py[q - 1] - ds.joint[j - 1][q - 1]),
         ]
         return self._node((t,), None, q, "T2", lower, upper, ())
 
     def _t3(self, t, p):
         # P(y_i under x_j, joint with observed X = x_p), p != j
         ds, j, i = self.ds, t.treatment, t.outcome
+        slack = ds.do[j - 1][i - 1] - ds.joint[j - 1][i - 1]
         lower = [
-            ("0", 0.0),
+            ("0", 0),
             (
                 f"P(y{i}_x{j})-P(x{j},y{i})-1+P(x{j})+P(x{p})",
-                ds.p_do(j, i) - ds.p_joint(j, i) - 1.0 + ds.p_x(j) + ds.p_x(p),
+                slack - ds.den + ds.px[j - 1] + ds.px[p - 1],
             ),
         ]
         upper = [
-            (f"P(y{i}_x{j})-P(x{j},y{i})", ds.p_do(j, i) - ds.p_joint(j, i)),
-            (f"P(x{p})", ds.p_x(p)),
+            (f"P(y{i}_x{j})-P(x{j},y{i})", slack),
+            (f"P(x{p})", ds.px[p - 1]),
         ]
         return self._node((t,), p, None, "T3", lower, upper, ())
 
     def _t4(self, t, p, q):
         # P(y_i under x_j, joint with observed X = x_p and Y = y_q), p != j
         ds, j, i = self.ds, t.treatment, t.outcome
+        slack = ds.do[j - 1][i - 1] - ds.joint[j - 1][i - 1]
+        evidence = ds.joint[p - 1][q - 1]
         lower = [
-            ("0", 0.0),
+            ("0", 0),
             (
                 f"P(y{i}_x{j})+P(x{p},y{q})-1+P(x{j})-P(x{j},y{i})",
-                ds.p_do(j, i) + ds.p_joint(p, q) - 1.0 + ds.p_x(j) - ds.p_joint(j, i),
+                slack + evidence - ds.den + ds.px[j - 1],
             ),
         ]
         upper = [
-            (f"P(y{i}_x{j})-P(x{j},y{i})", ds.p_do(j, i) - ds.p_joint(j, i)),
-            (f"P(x{p}, y{q})", ds.p_joint(p, q)),
+            (f"P(y{i}_x{j})-P(x{j},y{i})", slack),
+            (f"P(x{p}, y{q})", evidence),
         ]
         return self._node((t,), p, q, "T4", lower, upper, ())
 
@@ -254,33 +261,33 @@ class _Evaluator:
         return f"y{t.outcome}_x{t.treatment}"
 
     def _t5(self, terms):
-        pes = [self.ds.p_do(t.treatment, t.outcome) for t in terms]
-        frechet = sum(pes) - (len(terms) - 1)
+        pes = [self.ds.do[t.treatment - 1][t.outcome - 1] for t in terms]
+        frechet = sum(pes) - (len(terms) - 1) * self.ds.den
         children = []
-        lower = [("0", 0.0), ("frechet", frechet)]
+        lower = [("0", 0), ("frechet", frechet)]
         upper = [(f"P({self._term_label(t)})", pe) for t, pe in zip(terms, pes)]
         dec_lo, dec_hi = self._decomp(terms, None, children)
-        lower += self._loo_lower(terms, pes, pes, max(0.0, frechet, dec_lo), children)
+        lower += self._loo_lower(terms, pes, pes, max(0, frechet, dec_lo), children)
         lower.append(("decomp", dec_lo))
         upper.append(("decomp", dec_hi))
         return self._node(terms, None, None, "T5", lower, upper, children)
 
     def _evidence_node(self, terms, ex, ey, theorem):
         """T6-T8: k terms jointly with observed x_p, y_q, or both."""
-        pes = [self.ds.p_do(t.treatment, t.outcome) for t in terms]
-        p_ev = self.ds.p_evidence(ex, ey)
-        frechet = sum(pes) + p_ev - len(terms)
+        pes = [self.ds.do[t.treatment - 1][t.outcome - 1] for t in terms]
+        p_ev = self.ds.evidence(ex, ey)
+        frechet = sum(pes) + p_ev - len(terms) * self.ds.den
         children = []
-        lower = [("0", 0.0), ("frechet", frechet)]
+        lower = [("0", 0), ("frechet", frechet)]
         upper = [(f"P({self._term_label(t)})", pe) for t, pe in zip(terms, pes)]
         upper.append((subquery_label((), ex, ey), p_ev))
         pair_los = []
         for t in terms:
-            pair_iv, pair_tr = self.eval((t,), ex, ey)
+            (pair_lo, pair_hi), pair_tr = self.eval((t,), ex, ey)
             children.append(pair_tr)
-            pair_los.append(pair_iv.lo)
-            upper.append((f"pair({self._term_label(t)})", pair_iv.hi))
-        best = max(0.0, frechet)
+            pair_los.append(pair_lo)
+            upper.append((f"pair({self._term_label(t)})", pair_hi))
+        best = max(0, frechet)
         dec_lower = []
         if ex is None:
             dec_lo, dec_hi = self._decomp(terms, ey, children)
@@ -297,15 +304,15 @@ class _Evaluator:
         event: a term on that arm collapses into evidence, and a summand whose
         event is impossible adds 0.
         """
-        dec_lo = dec_hi = 0.0
+        dec_lo = dec_hi = 0
         for p in range(1, self.ds.space.m + 1):
             arm = restrict_to_arm(terms, p, q)
             if arm is None:
                 continue
-            sub_iv, sub_tr = self.eval(arm[0], p, arm[1])
+            (sub_lo, sub_hi), sub_tr = self.eval(arm[0], p, arm[1])
             children.append(sub_tr)
-            dec_lo += sub_iv.lo
-            dec_hi += sub_iv.hi
+            dec_lo += sub_lo
+            dec_hi += sub_hi
         return dec_lo, dec_hi
 
     def _loo_lower(self, terms, pes, partners, best, children):
@@ -317,34 +324,35 @@ class _Evaluator:
         rest is evaluated only when the cap exceeds `best`, the largest lower
         value so far.
         """
+        den = self.ds.den
         cands = []
         for idx, (t, partner) in enumerate(zip(terms, partners)):
             cap = min(pes[:idx] + pes[idx + 1 :])
-            if cap + partner - 1.0 <= best:
+            if cap + partner - den <= best:
                 continue
-            sub_iv, sub_tr = self.eval(terms[:idx] + terms[idx + 1 :], None, None)
+            (sub_lo, _), sub_tr = self.eval(terms[:idx] + terms[idx + 1 :], None, None)
             children.append(sub_tr)
-            value = sub_iv.lo + partner - 1.0
+            value = sub_lo + partner - den
             cands.append((f"loo({self._term_label(t)})", value))
             best = max(best, value)
         return cands
 
 
-def _evidence_divisor(dataset: Dataset, ex, ey) -> float:
-    """P(x_ex, y_ey), P(x_ex) or P(y_ey) as a divisor.
+def _evidence_divisor(dataset: Dataset, ex, ey) -> int:
+    """The numerator over den of P(x_ex, y_ey), P(x_ex) or P(y_ey), as a divisor.
 
     The one rule for conditioning, in bound and the oracle:
     evidence below EPS_NUM raises ZeroEvidenceProbability.
     """
-    divisor = dataset.p_evidence(ex, ey)
-    if divisor < EPS_NUM:
-        raise ZeroEvidenceProbability(subquery_label((), ex, ey), divisor)
+    divisor = dataset.evidence(ex, ey)
+    if divisor / dataset.den < EPS_NUM:
+        raise ZeroEvidenceProbability(subquery_label((), ex, ey), divisor / dataset.den)
     return divisor
 
 
 # The trace of every ZERO query: its one candidate, 0, is both ends.
 _ZERO_TRACE = BoundTrace(
-    "P(impossible event)", "Zero", "0", "0", 0.0, 0.0, (("0", 0.0),), (("0", 0.0),), ()
+    "P(impossible event)", "Zero", "0", "0", 0.0, 0.0, (("0", 0),), (("0", 0),), ()
 )
 
 
@@ -370,12 +378,11 @@ def bound(dataset: Dataset, query: Query | str) -> BoundResult:
             f"{len(cq.terms)} counterfactual terms exceed the limit of {MAX_TERMS}; "
             "unpruned, the recursion grows like 2^(k+2)"
         )
-    if cq.kind == ZERO:
-        interval, trace, evaluated = Interval(0.0, 0.0), _ZERO_TRACE, 1
-    else:
-        evaluator = _Evaluator(dataset)
-        interval, trace = evaluator.eval(cq.terms, cq.evidence_x, cq.evidence_y)
-        evaluated = len(evaluator.memo)
+    divisor = dataset.den
     if cq.conditional:
-        interval = interval.scaled_by(_evidence_divisor(dataset, cq.divisor_x, cq.divisor_y))
-    return BoundResult(interval, trace, evaluated)
+        divisor = _evidence_divisor(dataset, cq.divisor_x, cq.divisor_y)
+    if cq.kind == ZERO:
+        return BoundResult(Interval(0.0, 0.0), _ZERO_TRACE, 1)
+    evaluator = _Evaluator(dataset)
+    (lo, hi), trace = evaluator.eval(cq.terms, cq.evidence_x, cq.evidence_y)
+    return BoundResult(Interval(lo / divisor, hi / divisor), trace, len(evaluator.memo))

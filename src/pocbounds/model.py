@@ -8,17 +8,17 @@ A Dataset holds both tables as integers: an experimental row j is
 exp_num[j] / exp_den[j], an observational cell obs_num[j][i] / obs_den.
 Counts are stored as given, with the row total or the grand total as
 denominator. A probability cell is lifted to the closest rational with
-denominator at most 10**9, Fraction.limit_denominator's value, by a
-continued-fraction walk in plain ints (_lift); each row (or the whole table)
-is then scaled to integers over the least common denominator, so it sums to
-its denominator exactly. A plain int count or float probability skips the
-abstract-type checks; any other cell (a bool, a NumPy scalar) takes them,
-with the same messages. No Fraction is built at ingest. The floats the
-engine reads, P(y_i | do x_j), P(x_j, y_i) and the marginals P(x_j) and
-P(y_i), are computed once at ingest by integer true division, which Python
-rounds correctly: each equals float() of its exact rational, and the record
-is immutable, so the two cannot drift apart. The oracle asks for the
-rationals through the exact_* accessors, which build each Fraction on demand.
+denominator at most 10**9 (Fraction.limit_denominator); each row (or the
+whole table) is then scaled to integers over the least common denominator,
+so it sums to its denominator exactly. A plain int count or float
+probability skips the abstract-type checks; any other cell (a bool, a NumPy
+scalar) takes them, with the same messages.
+
+Ingest also writes every cell and marginal over one common denominator
+den = lcm(obs_den, *exp_den), by multiplication: the tables do and joint and
+the marginals px and py hold the numerators of P(y_i | do x_j),
+P(x_j, y_i), P(x_j) and P(y_i). The engine runs on these integers; the
+oracle reads the same numbers as Fractions through the exact_* accessors.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class ProblemSpace(_ProblemSpaceFields):
 
 
 class Violation(NamedTuple):
-    """Cell (x_j, y_i) with P(y_i | do x_j) < P(x_j, y_i), by its exact gap."""
+    """Cell (x_j, y_i) with P(y_i | do x_j) < P(x_j, y_i), by its gap rounded once."""
 
     j: int
     i: int
@@ -100,13 +100,13 @@ class Infeasible(DataError):
 
 
 class Dataset(NamedTuple):
-    """Both tables as integers, the floats derived from them, and the report.
+    """Both tables as integers, over their own denominators and over den.
 
     P(y_i | do x_j) = exp_num[j-1][i-1] / exp_den[j-1], every row summing to
     1; P(x_j, y_i) = obs_num[j-1][i-1] / obs_den, the table summing to 1.
-    The floats do, joint, px and py are those ratios rounded once at ingest;
-    the engine reads them through p_*, the oracle the exact ratios through
-    exact_*. Equal datasets have equal integers, not just equal floats.
+    do, joint, px and py are the same ratios as numerators over the common
+    denominator den: every row of do and the whole of joint sum to den.
+    Equal datasets have equal ingested integers, not just equal ratios.
     """
 
     space: ProblemSpace
@@ -114,26 +114,15 @@ class Dataset(NamedTuple):
     exp_den: tuple[int, ...]
     obs_num: tuple[tuple[int, ...], ...]
     obs_den: int
-    do: tuple[tuple[float, ...], ...]
-    joint: tuple[tuple[float, ...], ...]
-    px: tuple[float, ...]
-    py: tuple[float, ...]
+    den: int
+    do: tuple[tuple[int, ...], ...]
+    joint: tuple[tuple[int, ...], ...]
+    px: tuple[int, ...]
+    py: tuple[int, ...]
     validation: ValidationReport
 
-    def p_do(self, j: int, i: int) -> float:
-        return self.do[j - 1][i - 1]
-
-    def p_joint(self, j: int, i: int) -> float:
-        return self.joint[j - 1][i - 1]
-
-    def p_x(self, j: int) -> float:
-        return self.px[j - 1]
-
-    def p_y(self, i: int) -> float:
-        return self.py[i - 1]
-
-    def p_evidence(self, ex: int | None, ey: int | None) -> float:
-        """P(x_ex, y_ey), P(x_ex) or P(y_ey): the observed evidence present."""
+    def evidence(self, ex: int | None, ey: int | None) -> int:
+        """The numerator over den of P(x_ex, y_ey), P(x_ex) or P(y_ey)."""
         if ey is None:
             return self.px[ex - 1]
         if ex is None:
@@ -158,24 +147,16 @@ class Dataset(NamedTuple):
         )
 
     def exact_do(self, j: int, i: int) -> Fraction:
-        return Fraction(self.exp_num[j - 1][i - 1], self.exp_den[j - 1])
+        return Fraction(self.do[j - 1][i - 1], self.den)
 
     def exact_joint(self, j: int, i: int) -> Fraction:
-        return Fraction(self.obs_num[j - 1][i - 1], self.obs_den)
+        return Fraction(self.joint[j - 1][i - 1], self.den)
 
     def exact_x(self, j: int) -> Fraction:
-        return Fraction(sum(self.obs_num[j - 1]), self.obs_den)
+        return Fraction(self.px[j - 1], self.den)
 
     def exact_y(self, i: int) -> Fraction:
-        return Fraction(sum(row[i - 1] for row in self.obs_num), self.obs_den)
-
-    def exact_evidence(self, ex: int | None, ey: int | None) -> Fraction:
-        """The exact ratio behind p_evidence."""
-        if ey is None:
-            return self.exact_x(ex)
-        if ex is None:
-            return self.exact_y(ey)
-        return self.exact_joint(ex, ey)
+        return Fraction(self.py[i - 1], self.den)
 
 
 def _is_row(value) -> bool:
@@ -205,35 +186,10 @@ def _check_shape(matrix: Sequence[Sequence], space: ProblemSpace | None, what: s
 def _lift(v: float) -> tuple[int, int]:
     """The closest rational p/q to max(0, v) with q <= _FLOAT_DENOMINATOR_LIMIT.
 
-    Returns (p, q) in lowest terms, equal to
-    Fraction(max(0.0, v)).limit_denominator(_FLOAT_DENOMINATOR_LIMIT), by the
-    stdlib's continued-fraction walk in plain ints. A float is a dyadic rational,
-    so a denominator within the limit is returned as is. Otherwise the walk
-    stops at the last convergent p1/q1 within the limit; the other candidate
-    is the semiconvergent (p0 + k*p1)/(q0 + k*q1) with the largest k that
-    keeps its denominator within the limit. The two lie on either side of
-    the value, 1/(q1*(q0 + k*q1)) apart, and p1/q1 is d/(q1*den) from it,
-    where den is the float's denominator and d the walk's last remainder; so
-    p1/q1 is at least as close iff 2*d*(q0 + k*q1) <= den, and a tie goes to
-    it, as in the stdlib.
+    Returns (p, q) in lowest terms.
     """
-    n, den = max(0.0, float(v)).as_integer_ratio()
-    limit = _FLOAT_DENOMINATOR_LIMIT
-    if den <= limit:
-        return n, den
-    d = den
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > limit:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (limit - q0) // q1
-    if 2 * d * (q0 + k * q1) <= den:
-        return p1, q1
-    return p0 + k * p1, q0 + k * q1
+    lifted = Fraction(max(0.0, float(v))).limit_denominator(_FLOAT_DENOMINATOR_LIMIT)
+    return lifted.as_integer_ratio()
 
 
 def _over_lcm(lifted: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
@@ -312,10 +268,10 @@ def _ingest(
     the shapes comes last. The report checks P(x_j, y_i) <= P(y_i | do x_j)
     in every cell.
 
-    The check is exact: both sides are cross-multiplied over
-    exp_den[j] * obs_den and compared as integers. The data admit a joint
-    response-type distribution iff no cell fails, so the report is the
-    feasibility test: Dataset.check_consistent raises Infeasible from it.
+    The check is exact: both sides are compared as integers over den. The
+    data admit a joint response-type distribution iff no cell fails, so the
+    report is the feasibility test: Dataset.check_consistent raises
+    Infeasible from it.
 
     The upper end of the consistency envelope, P(y_i | do x_j) <=
     P(x_j, y_i) + 1 - P(x_j), needs no check of its own. Ingest makes every
@@ -334,22 +290,26 @@ def _ingest(
         _check_shape(obs_table, space, "observational table")
     exp_num, exp_den = _experimental(exp_table, exp_counts)
     obs_num, obs_den = _observational(obs_table, obs_counts)
+    den = math.lcm(obs_den, *exp_den)
+    do = tuple([tuple([c * (den // d) for c in row]) for row, d in zip(exp_num, exp_den)])
+    scale = den // obs_den
+    joint = tuple([tuple([c * scale for c in row]) for row in obs_num])
     violations = []
-    for j, (do_row, xy_row, d) in enumerate(zip(exp_num, obs_num, exp_den), start=1):
-        for i, (do, xy) in enumerate(zip(do_row, xy_row), start=1):
-            gap = xy * d - do * obs_den
-            if gap > 0:
-                violations.append(Violation(j, i, gap / (d * obs_den)))
+    for j, (do_row, xy_row) in enumerate(zip(do, joint), start=1):
+        for i, (do_cell, xy) in enumerate(zip(do_row, xy_row), start=1):
+            if xy > do_cell:
+                violations.append(Violation(j, i, (xy - do_cell) / den))
     return Dataset(
         space or ProblemSpace(m, n),
         exp_num,
         exp_den,
         obs_num,
         obs_den,
-        tuple([tuple([c / d for c in row]) for row, d in zip(exp_num, exp_den)]),
-        tuple([tuple([c / obs_den for c in row]) for row in obs_num]),
-        tuple([sum(row) / obs_den for row in obs_num]),
-        tuple([sum(col) / obs_den for col in zip(*obs_num)]),
+        den,
+        do,
+        joint,
+        tuple([sum(row) for row in joint]),
+        tuple([sum(col) for col in zip(*joint)]),
         ValidationReport(not violations, tuple(violations)),
     )
 
@@ -360,9 +320,9 @@ def dataset_from_counts(
     """Build a Dataset from two count tables.
 
     Experimental rows are normalized per treatment arm; observational counts
-    are normalized by the grand total. Probabilities are exact integer ratios
-    converted to float once, so count tables reproduce to full precision
-    regardless of parse order.
+    are normalized by the grand total. Every probability is an exact integer
+    ratio, so count tables reproduce to full precision regardless of parse
+    order.
     """
     return _ingest(exp_counts, obs_counts, True, True)
 

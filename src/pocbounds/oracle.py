@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .frechet import Interval, make_interval
+from .frechet import Interval
 from .model import Dataset
 from .queryir import (
     ZERO,
@@ -112,8 +112,8 @@ def _exact_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fract
     if cq.kind != ZERO:
         vmin, vmax = _closed_form(dataset, cq)
     if cq.conditional:
-        _evidence_divisor(dataset, cq.divisor_x, cq.divisor_y)  # the engine's rule
-        divisor = dataset.exact_evidence(cq.divisor_x, cq.divisor_y)
+        # The engine's rule, and its exact evidence numerator over den.
+        divisor = Fraction(_evidence_divisor(dataset, cq.divisor_x, cq.divisor_y), dataset.den)
         vmin, vmax = vmin / divisor, vmax / divisor
     return vmin, vmax
 
@@ -128,4 +128,4 @@ def tight_bounds(dataset: Dataset, query: Query | str) -> Interval:
     else:
         validate_indices(query, dataset.space)
     vmin, vmax = _exact_bounds(dataset, canonicalize(query))
-    return make_interval(float(vmin), float(vmax), "LP min", "LP max")
+    return Interval(float(vmin), float(vmax))

@@ -54,7 +54,7 @@ def common_scale_sample(rng):
 
     The simulation writes the do-rows over 2**53 and the observational table
     over its own largest denominator instead; the rationals, and so the
-    record's floats, accessors and report, must be the same.
+    exact accessors and the report, must be the same.
     """
     from pocbounds.model import dataset_from_counts
     from pocbounds.simgen import MAX_REDRAWS, _draw_attempt

@@ -1,8 +1,6 @@
 import math
 
-import pytest
-
-from pocbounds.frechet import InfeasibleInterval, Interval, make_interval
+from pocbounds.frechet import Interval
 
 
 class TestInterval:
@@ -34,33 +32,3 @@ class TestInterval:
         iv = Interval(0.4, 0.4)
         assert iv.width == 0.0
         assert iv.contains(0.4)
-
-    def test_scaled_by_divides_both_ends(self):
-        iv = Interval(0.1, 0.3).scaled_by(0.5)
-        assert math.isclose(iv.lo, 0.2)
-        assert math.isclose(iv.hi, 0.6)
-
-    def test_scaled_by_clamps_to_one(self):
-        iv = Interval(0.2, 0.9).scaled_by(0.5)
-        assert iv.hi == 1.0
-        assert math.isclose(iv.lo, 0.4)
-
-
-class TestMakeInterval:
-    def test_clamps_into_unit_range(self):
-        iv = make_interval(-0.25, 1.3)
-        assert iv == Interval(0.0, 1.0)
-
-    def test_orders_noise_crossing(self):
-        iv = make_interval(0.5 + 1e-12, 0.5 - 1e-12)
-        assert iv.lo <= iv.hi
-
-    def test_raises_on_real_crossing(self):
-        with pytest.raises(InfeasibleInterval) as exc:
-            make_interval(0.6, 0.4, "lower arm", "upper arm")
-        assert "lower arm" in str(exc.value)
-        assert "upper arm" in str(exc.value)
-
-    def test_exact_endpoints_preserved(self):
-        iv = make_interval(0.125, 0.625)
-        assert iv == Interval(0.125, 0.625)

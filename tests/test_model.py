@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -36,29 +37,32 @@ class TestProblemSpace:
 class TestCountsIngestion:
     def test_exact_row_normalization(self, treatment):
         assert treatment.exact_do(1, 3) == Fraction(213, 300)
-        assert treatment.p_do(1, 3) == 213 / 300
+        assert (treatment.den, treatment.do[0][2]) == (900, 3 * 213)
 
     def test_exact_grand_normalization(self, treatment):
         assert treatment.exact_joint(1, 3) == Fraction(7, 900)
-        assert treatment.p_joint(3, 2) == 72 / 900
+        assert treatment.joint[2][1] == 72
 
     def test_marginals(self, treatment):
         assert treatment.exact_x(1) == Fraction(238 + 20 + 7, 900)
         assert treatment.exact_y(1) == Fraction(238 + 10 + 147, 900)
-        assert treatment.p_x(2) == (10 + 77 + 259) / 900
-        assert treatment.p_y(3) == (7 + 259 + 70) / 900
+        assert treatment.px[1] == 10 + 77 + 259
+        assert treatment.py[2] == 7 + 259 + 70
+        assert treatment.evidence(2, None) == treatment.px[1]
+        assert treatment.evidence(None, 3) == treatment.py[2]
+        assert treatment.evidence(3, 2) == treatment.joint[2][1]
 
     def test_rows_are_treatments(self):
         ds = dataset_from_counts(EXP_2x2, OBS_2x2)
-        assert ds.p_do(1, 1) == 0.6
-        assert ds.p_do(2, 1) == 0.3
-        assert ds.p_joint(1, 2) == 0.1
+        assert ds.exact_do(1, 1) == Fraction(6, 10)
+        assert ds.exact_do(2, 1) == Fraction(3, 10)
+        assert ds.exact_joint(1, 2) == Fraction(1, 10)
 
     def test_matrices_immutable(self, treatment):
         with pytest.raises(TypeError):
-            treatment.do[0][0] = 0.5
+            treatment.do[0][0] = 1
         with pytest.raises(TypeError):
-            treatment.joint[0][0] = 0.5
+            treatment.joint[0][0] = 1
 
 
 class TestProbsIngestion:
@@ -196,7 +200,7 @@ class TestJsonIngestion:
         path = tmp_path / "ds.json"
         path.write_text(json.dumps(self.doc()))
         ds = load_dataset(path)
-        assert ds.p_do(1, 1) == 0.6
+        assert ds.exact_do(1, 1) == Fraction(3, 5)
 
     def test_load_dataset_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -211,14 +215,15 @@ class TestJsonIngestion:
 
 class TestFloatExactAgreement:
     def test_float_matrix_derived_from_exact(self, vaccine):
+        # An end the engine rounds once, numerator / den, is float() of the exact ratio.
         for j in (1, 2):
             for i in (1, 2, 3, 4):
-                assert vaccine.p_do(j, i) == float(vaccine.exact_do(j, i))
-                assert vaccine.p_joint(j, i) == float(vaccine.exact_joint(j, i))
+                assert vaccine.do[j - 1][i - 1] / vaccine.den == float(vaccine.exact_do(j, i))
+                assert vaccine.joint[j - 1][i - 1] / vaccine.den == float(vaccine.exact_joint(j, i))
 
     def test_numpy_matrix_matches_accessors(self, institute):
-        assert all(sum(row) == pytest.approx(1.0, abs=1e-12) for row in institute.do)
-        assert sum(map(sum, institute.joint)) == pytest.approx(1.0, abs=1e-12)
+        assert all(sum(row) == institute.den for row in institute.do)
+        assert sum(map(sum, institute.joint)) == institute.den
 
 
 @st.composite
@@ -260,7 +265,7 @@ def _pair(f: Fraction) -> tuple[int, int]:
 
 
 class TestLift:
-    """`_lift` walks the continued fraction in ints; it must equal the stdlib exactly."""
+    """`_lift` must equal the stdlib reference exactly, edge cases included."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.floats(-1e-6, 1.0 + 1e-6))
@@ -310,20 +315,19 @@ class TestLift:
         assert [Fraction(c, scale) for c in ints] == [stdlib_lift(v) for v in values]
 
 
-def _assert_floats_match_exact(ds, exp_exact, obs_exact):
-    """Accessors against float() of exact_*, and exact_* against a Fraction reference."""
+def _assert_tables_match_exact(ds, exp_exact, obs_exact):
+    """exact_* against a Fraction reference, and the tables over den against both."""
     m, n = ds.space.m, ds.space.n
+    assert ds.den == math.lcm(ds.obs_den, *ds.exp_den)
     for j in range(1, m + 1):
         for i in range(1, n + 1):
             assert ds.exact_do(j, i) == exp_exact[j - 1][i - 1]
+            assert ds.exact_do(j, i) == Fraction(ds.exp_num[j - 1][i - 1], ds.exp_den[j - 1])
             assert ds.exact_joint(j, i) == obs_exact[j - 1][i - 1]
-            assert ds.p_do(j, i) == float(ds.exact_do(j, i))
-            assert ds.p_joint(j, i) == float(ds.exact_joint(j, i))
+            assert ds.exact_joint(j, i) == Fraction(ds.obs_num[j - 1][i - 1], ds.obs_den)
         assert ds.exact_x(j) == sum(obs_exact[j - 1], Fraction(0))
-        assert ds.p_x(j) == float(ds.exact_x(j))
     for i in range(1, n + 1):
         assert ds.exact_y(i) == sum((row[i - 1] for row in obs_exact), Fraction(0))
-        assert ds.p_y(i) == float(ds.exact_y(i))
 
 
 class TestIntegerLayout:
@@ -333,7 +337,7 @@ class TestIntegerLayout:
         exp, obs = tables
         ds = dataset_from_counts(exp, obs)
         grand = sum(map(sum, obs))
-        _assert_floats_match_exact(
+        _assert_tables_match_exact(
             ds,
             [[Fraction(c, sum(row)) for c in row] for row in exp],
             [[Fraction(c, grand) for c in row] for row in obs],
@@ -347,7 +351,7 @@ class TestIntegerLayout:
         exp_lift = [[stdlib_lift(v) for v in row] for row in exp]
         obs_lift = [[stdlib_lift(v) for v in row] for row in obs]
         grand = sum((v for row in obs_lift for v in row), Fraction(0))
-        _assert_floats_match_exact(
+        _assert_tables_match_exact(
             ds,
             [[v / sum(row, Fraction(0)) for v in row] for row in exp_lift],
             [[v / grand for v in row] for row in obs_lift],
