@@ -71,6 +71,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive integer: {text!r}")
+    return int(text)
+
+
 def fixture_path(name: str) -> Path:
     override = os.environ.get(FIXTURES_ENV)
     if override:
@@ -186,7 +192,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("simulate", help="random-model simulation study")
-    p.add_argument("--samples", type=int, default=_SIM_SAMPLES)
+    p.add_argument("--samples", type=_positive_int, default=_SIM_SAMPLES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(func=_cmd_simulate)

@@ -62,6 +62,7 @@ from .frechet import EPS_NUM, Interval
 from .model import Dataset
 from .queryir import (
     ZERO,
+    CanonicalQuery,
     Query,
     UnsupportedQuery,
     canonicalize,
@@ -214,8 +215,8 @@ class _Evaluator:
             ("sum_p", dual),
         ]
         upper = [
-            (f"P(y{i}_x{j})-P(x{j},y{i})", do - joint),
-            (f"P(y{q})-P(x{j},y{q})", ds.py[q - 1] - ds.joint[j - 1][q - 1]),
+            (f"P(y{i}_x{j})-P(x{j}, y{i})", do - joint),
+            (f"P(y{q})-P(x{j}, y{q})", ds.py[q - 1] - ds.joint[j - 1][q - 1]),
         ]
         return self._node((t,), None, q, "T2", lower, upper, ())
 
@@ -226,12 +227,12 @@ class _Evaluator:
         lower = [
             ("0", 0),
             (
-                f"P(y{i}_x{j})-P(x{j},y{i})-1+P(x{j})+P(x{p})",
+                f"P(y{i}_x{j})-P(x{j}, y{i})-1+P(x{j})+P(x{p})",
                 slack - ds.den + ds.px[j - 1] + ds.px[p - 1],
             ),
         ]
         upper = [
-            (f"P(y{i}_x{j})-P(x{j},y{i})", slack),
+            (f"P(y{i}_x{j})-P(x{j}, y{i})", slack),
             (f"P(x{p})", ds.px[p - 1]),
         ]
         return self._node((t,), p, None, "T3", lower, upper, ())
@@ -244,12 +245,12 @@ class _Evaluator:
         lower = [
             ("0", 0),
             (
-                f"P(y{i}_x{j})+P(x{p},y{q})-1+P(x{j})-P(x{j},y{i})",
+                f"P(y{i}_x{j})+P(x{p}, y{q})-1+P(x{j})-P(x{j}, y{i})",
                 slack + evidence - ds.den + ds.px[j - 1],
             ),
         ]
         upper = [
-            (f"P(y{i}_x{j})-P(x{j},y{i})", slack),
+            (f"P(y{i}_x{j})-P(x{j}, y{i})", slack),
             (f"P(x{p}, y{q})", evidence),
         ]
         return self._node((t,), p, q, "T4", lower, upper, ())
@@ -350,6 +351,13 @@ def _evidence_divisor(dataset: Dataset, ex, ey) -> int:
     return divisor
 
 
+def _divisor(dataset: Dataset, cq: CanonicalQuery) -> int:
+    """The divisor of both ends, in bound and the oracle: den, or the evidence numerator."""
+    if cq.conditional:
+        return _evidence_divisor(dataset, cq.divisor_x, cq.divisor_y)
+    return dataset.den
+
+
 # The trace of every ZERO query: its one candidate, 0, is both ends.
 _ZERO_TRACE = BoundTrace(
     "P(impossible event)", "Zero", "0", "0", 0.0, 0.0, (("0", 0),), (("0", 0),), ()
@@ -378,9 +386,7 @@ def bound(dataset: Dataset, query: Query | str) -> BoundResult:
             f"{len(cq.terms)} counterfactual terms exceed the limit of {MAX_TERMS}; "
             "unpruned, the recursion grows like 2^(k+2)"
         )
-    divisor = dataset.den
-    if cq.conditional:
-        divisor = _evidence_divisor(dataset, cq.divisor_x, cq.divisor_y)
+    divisor = _divisor(dataset, cq)
     if cq.kind == ZERO:
         return BoundResult(Interval(0.0, 0.0), _ZERO_TRACE, 1)
     evaluator = _Evaluator(dataset)

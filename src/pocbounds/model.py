@@ -4,21 +4,21 @@ Everything is indexed 1-based in the public API (treatment j in 1..m, outcome
 i in 1..n) to match the query notation; the first matrix index is always the
 treatment.
 
-A Dataset holds both tables as integers: an experimental row j is
-exp_num[j] / exp_den[j], an observational cell obs_num[j][i] / obs_den.
-Counts are stored as given, with the row total or the grand total as
-denominator. A probability cell is lifted to the closest rational with
-denominator at most 10**9 (Fraction.limit_denominator); each row (or the
-whole table) is then scaled to integers over the least common denominator,
-so it sums to its denominator exactly. A plain int count or float
-probability skips the abstract-type checks; any other cell (a bool, a NumPy
-scalar) takes them, with the same messages.
+A Dataset holds both tables as integers over one common denominator.
+Ingest first writes each table over its own totals: an experimental row
+over its row total, the observational table over its grand total. Counts
+are kept as given. A probability cell is lifted to the closest rational
+with denominator at most 10**9 (Fraction.limit_denominator); each row (or
+the whole table) is then scaled to integers over the least common
+denominator, so it sums to its denominator exactly. A plain int count or
+float probability skips the abstract-type checks; any other cell (a bool, a
+NumPy scalar) takes them, with the same messages.
 
-Ingest also writes every cell and marginal over one common denominator
-den = lcm(obs_den, *exp_den), by multiplication: the tables do and joint and
-the marginals px and py hold the numerators of P(y_i | do x_j),
-P(x_j, y_i), P(x_j) and P(y_i). The engine runs on these integers; the
-oracle reads the same numbers as Fractions through the exact_* accessors.
+Ingest then writes every cell and marginal over one common denominator
+den, the lcm of the row totals and the grand total, by multiplication, and
+keeps only those: the tables do and joint and the marginals px and py hold
+the numerators of P(y_i | do x_j), P(x_j, y_i), P(x_j) and P(y_i). The
+engine and the oracle both compute on these integers.
 """
 
 from __future__ import annotations
@@ -100,20 +100,15 @@ class Infeasible(DataError):
 
 
 class Dataset(NamedTuple):
-    """Both tables as integers, over their own denominators and over den.
+    """Both tables as integer numerators over one common denominator den.
 
-    P(y_i | do x_j) = exp_num[j-1][i-1] / exp_den[j-1], every row summing to
-    1; P(x_j, y_i) = obs_num[j-1][i-1] / obs_den, the table summing to 1.
-    do, joint, px and py are the same ratios as numerators over the common
-    denominator den: every row of do and the whole of joint sum to den.
-    Equal datasets have equal ingested integers, not just equal ratios.
+    P(y_i | do x_j) = do[j-1][i-1] / den, every row summing to den;
+    P(x_j, y_i) = joint[j-1][i-1] / den, the table summing to den; px and py
+    are joint's row and column sums. Equal datasets have equal den and equal
+    numerators, not just equal ratios.
     """
 
     space: ProblemSpace
-    exp_num: tuple[tuple[int, ...], ...]
-    exp_den: tuple[int, ...]
-    obs_num: tuple[tuple[int, ...], ...]
-    obs_den: int
     den: int
     do: tuple[tuple[int, ...], ...]
     joint: tuple[tuple[int, ...], ...]
@@ -140,23 +135,13 @@ class Dataset(NamedTuple):
         if self.validation.ok:
             return
         j, i, _ = self.validation.violations[0]
+        do = Fraction(self.do[j - 1][i - 1], self.den)
+        joint = Fraction(self.joint[j - 1][i - 1], self.den)
         raise Infeasible(
             "experimental and observational data admit no joint response-type distribution: "
-            f"P(y{i} | do x{j}) = {self.exact_do(j, i)} < P(x{j}, y{i}) = {self.exact_joint(j, i)}",
+            f"P(y{i} | do x{j}) = {do} < P(x{j}, y{i}) = {joint}",
             self.validation.violations,
         )
-
-    def exact_do(self, j: int, i: int) -> Fraction:
-        return Fraction(self.do[j - 1][i - 1], self.den)
-
-    def exact_joint(self, j: int, i: int) -> Fraction:
-        return Fraction(self.joint[j - 1][i - 1], self.den)
-
-    def exact_x(self, j: int) -> Fraction:
-        return Fraction(self.px[j - 1], self.den)
-
-    def exact_y(self, i: int) -> Fraction:
-        return Fraction(self.py[i - 1], self.den)
 
 
 def _is_row(value) -> bool:
@@ -225,7 +210,7 @@ def _cells(table, counts: bool, side: str) -> list[list]:
     return rows
 
 
-def _experimental(table, counts: bool) -> tuple[tuple, tuple]:
+def _experimental(table, counts: bool) -> tuple[list, list]:
     """(num, den): each row over its own total.
 
     A probability row must sum to 1 within EPS_PROBS.
@@ -238,12 +223,12 @@ def _experimental(table, counts: bool) -> tuple[tuple, tuple]:
             raise ZeroRowTotal(f"experimental row for x{j} has zero total")
         if not counts and abs(total / scale - 1.0) > EPS_PROBS:
             raise DataError(f"experimental row for x{j} sums to {total / scale}, expected 1")
-        num.append(tuple(ints))
+        num.append(ints)
         den.append(total)
-    return tuple(num), tuple(den)
+    return num, den
 
 
-def _observational(table, counts: bool) -> tuple[tuple, int]:
+def _observational(table, counts: bool) -> tuple[list, int]:
     """(num, den): every cell over the grand total, checked as _experimental checks a row."""
     rows = _cells(table, counts, "observational")
     flat = [c for row in rows for c in row]
@@ -254,7 +239,7 @@ def _observational(table, counts: bool) -> tuple[tuple, int]:
     if not counts and abs(grand / scale - 1.0) > EPS_PROBS:
         raise DataError(f"observational table sums to {grand / scale}, expected 1")
     n = len(rows[0])
-    return tuple(tuple(ints[k : k + n]) for k in range(0, len(ints), n)), grand
+    return [ints[k : k + n] for k in range(0, len(ints), n)], grand
 
 
 def _ingest(
@@ -288,12 +273,12 @@ def _ingest(
     else:
         _check_shape(exp_table, space, "experimental table")
         _check_shape(obs_table, space, "observational table")
-    exp_num, exp_den = _experimental(exp_table, exp_counts)
-    obs_num, obs_den = _observational(obs_table, obs_counts)
-    den = math.lcm(obs_den, *exp_den)
-    do = tuple([tuple([c * (den // d) for c in row]) for row, d in zip(exp_num, exp_den)])
-    scale = den // obs_den
-    joint = tuple([tuple([c * scale for c in row]) for row in obs_num])
+    exp_rows, row_totals = _experimental(exp_table, exp_counts)
+    obs_rows, grand = _observational(obs_table, obs_counts)
+    den = math.lcm(grand, *row_totals)
+    do = tuple([tuple([c * (den // d) for c in row]) for row, d in zip(exp_rows, row_totals)])
+    scale = den // grand
+    joint = tuple([tuple([c * scale for c in row]) for row in obs_rows])
     violations = []
     for j, (do_row, xy_row) in enumerate(zip(do, joint), start=1):
         for i, (do_cell, xy) in enumerate(zip(do_row, xy_row), start=1):
@@ -301,10 +286,6 @@ def _ingest(
                 violations.append(Violation(j, i, (xy - do_cell) / den))
     return Dataset(
         space or ProblemSpace(m, n),
-        exp_num,
-        exp_den,
-        obs_num,
-        obs_den,
         den,
         do,
         joint,

@@ -39,9 +39,12 @@ j -> c (c != j, capacity P(x_c)) into the free capacities. Arc capacities
 depend only on the arm, so the min cut (Ford & Fulkerson 1956) with s terms
 on the source side takes the s cheapest per-term costs, one sort per size.
 
-Everything is exact Fraction arithmetic, O(k^2 log k + k m) operations per
-query. The arm LP and the response-type LP of Balke & Pearl (1997), solved
-by a simplex in the tests, must agree with it exactly.
+Everything is exact integer arithmetic on the dataset's numerators over
+den, O(k^2 log k + k m) operations per query. Only a prefix cap, a sum over
+i - 1, and the final division of each end (by den, or by the evidence
+numerator of a conditional query) build a Fraction. The arm LP and the
+response-type LP of Balke & Pearl (1997), solved by a simplex in the tests,
+must agree with it exactly.
 """
 
 from __future__ import annotations
@@ -59,14 +62,15 @@ from .queryir import (
     restrict_to_arm,
     validate_indices,
 )
-from .engine import _evidence_divisor
+from .engine import _divisor
 
 
-def _closed_form(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fraction]:
-    """Tight (min, max) of a feasible, non-ZERO query's joint probability."""
+def _closed_form(dataset: Dataset, cq: CanonicalQuery) -> tuple[int, Fraction | int]:
+    """Tight (min, max) of a feasible, non-ZERO query's joint probability, over
+    den: ints, or a Fraction for the max when a prefix cap binds."""
     arms = range(1, dataset.space.m + 1)
-    px = {c: dataset.exact_x(c) for c in arms}
-    d = {j: dataset.exact_do(j, y) - dataset.exact_joint(j, y) for j, y in cq.terms}
+    px = dict(zip(arms, dataset.px))
+    d = {j: dataset.do[j - 1][y - 1] - dataset.joint[j - 1][y - 1] for j, y in cq.terms}
     cap, theta = {}, {}
     for c in arms:
         events = restrict_to_arm(cq.terms, c, cq.evidence_y)
@@ -76,46 +80,41 @@ def _closed_form(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fracti
         if observed is None:
             cap[c], theta[c] = px[c], (len(cross) - 1) * px[c]
         else:
-            cap[c] = dataset.exact_joint(c, observed)
+            cap[c] = dataset.joint[c - 1][observed - 1]
             theta[c] = len(cross) * px[c] - cap[c]
 
-    hi = sum(cap.values(), Fraction(0))
+    hi = sum(cap.values())
     for j, dj in d.items():
         hi = min(hi, dj + cap[j] if j in cap else dj)
-    prefix = Fraction(0)
+    prefix = 0
     for i, dj in enumerate(sorted(dj for j, dj in d.items() if j in cap), start=1):
         prefix += dj
         if i >= 2:
-            hi = min(hi, prefix / (i - 1))
+            hi = min(hi, Fraction(prefix, i - 1))
 
-    sink = {c: max(Fraction(0), t) for c, t in theta.items()}
+    sink = {c: max(0, t) for c, t in theta.items()}
 
-    def free(c: int, s: int) -> Fraction:
+    def free(c: int, s: int) -> int:
         flow = s * px[c]
         return min(sink[c], flow) if c in sink else flow
 
-    total = sum(d.values(), Fraction(0))
+    total = sum(d.values())
     f_star = total  # the cut with no term on the source side
     for s in range(1, len(d) + 1):
         costs = sorted(free(j, s - 1) - free(j, s) - dj for j, dj in d.items())
         f_star = min(f_star, total + sum(free(c, s) for c in arms) + sum(costs[:s]))
-    lo = sum((max(Fraction(0), -t) for t in theta.values()), Fraction(0)) + total - f_star
+    lo = sum(max(0, -t) for t in theta.values()) + total - f_star
     return lo, hi
 
 
 def _exact_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fraction]:
-    """Tight (min, max) in exact arithmetic; conditional queries are divided
-    by the exact evidence probability, mirroring the engine's conditioning rule.
+    """Tight (min, max) as exact Fractions: each end of the closed form is
+    divided once, by the engine's divisor for the query.
     """
     dataset.check_consistent()
-    vmin = vmax = Fraction(0)
-    if cq.kind != ZERO:
-        vmin, vmax = _closed_form(dataset, cq)
-    if cq.conditional:
-        # The engine's rule, and its exact evidence numerator over den.
-        divisor = Fraction(_evidence_divisor(dataset, cq.divisor_x, cq.divisor_y), dataset.den)
-        vmin, vmax = vmin / divisor, vmax / divisor
-    return vmin, vmax
+    divisor = _divisor(dataset, cq)
+    lo, hi = (0, 0) if cq.kind == ZERO else _closed_form(dataset, cq)
+    return Fraction(lo, divisor), Fraction(hi, divisor)
 
 
 def tight_bounds(dataset: Dataset, query: Query | str) -> Interval:

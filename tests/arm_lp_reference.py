@@ -18,6 +18,8 @@ from typing import Sequence
 from pocbounds.model import Dataset
 from pocbounds.queryir import ZERO, CanonicalQuery, restrict_to_arm
 
+from conftest import exact
+
 _MAX_PIVOTS = 50_000
 # Dantzig pivoting is fast but can cycle; fall back to Bland's rule, which
 # terminates, after this many pivots.
@@ -48,11 +50,11 @@ def _arm_lp(dataset: Dataset, cq: CanonicalQuery, maximize: bool):
         for c in range(1, m + 1):
             if c != j:
                 rows.append({r[j, c, y]: 1 for y in range(1, n + 1)})
-                b.append(dataset.exact_x(c))
+                b.append(exact(dataset, "px", c))
     for j in range(1, m + 1):
         for y in range(1, n + 1):
             rows.append({r[j, c, y]: 1 for c in range(1, m + 1) if c != j})
-            b.append(dataset.exact_do(j, y) - dataset.exact_joint(j, y))
+            b.append(exact(dataset, "do", j, y) - exact(dataset, "joint", j, y))
 
     objective: dict[int, int] = {}
     arms = range(1, m + 1) if cq.kind != ZERO else ()
@@ -72,7 +74,7 @@ def _arm_lp(dataset: Dataset, cq: CanonicalQuery, maximize: bool):
                 names.append(f"w[x{c},y{y}_x{j}]")
             if observed is not None:
                 rows.append({aux: 1, len(names): 1})
-                b.append(dataset.exact_joint(c, observed))
+                b.append(exact(dataset, "joint", c, observed))
                 names.append(f"w[x{c},y{observed}]")
         else:
             # s_c - t_c - sum of marginals = observed mass - (K-1) P(x_c),
@@ -83,8 +85,8 @@ def _arm_lp(dataset: Dataset, cq: CanonicalQuery, maximize: bool):
             rhs = Fraction(0)
             if observed is not None:
                 k += 1
-                rhs = dataset.exact_joint(c, observed)
-            b.append(rhs - (k - 1) * dataset.exact_x(c))
+                rhs = exact(dataset, "joint", c, observed)
+            b.append(rhs - (k - 1) * exact(dataset, "px", c))
 
     ncols = len(names)
     A = [[Fraction(row.get(col, 0)) for col in range(ncols)] for row in rows]

@@ -1,10 +1,12 @@
-"""Shared fixtures: the three worked-example tables, and queries drawn in
-every evidence form. Random models come from `pocbounds.simgen`.
+"""Shared fixtures: the three worked-example tables, queries drawn in
+every evidence form, and `exact`, which reads a Dataset cell as a Fraction.
+Random models come from `pocbounds.simgen`.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -39,6 +41,16 @@ def institute() -> Dataset:
 @pytest.fixture(scope="session")
 def vaccine() -> Dataset:
     return dataset_from_counts(VACCINE_EXP, VACCINE_OBS)
+
+
+def exact(dataset: Dataset, table: str, *index: int) -> Fraction:
+    """The probability in `table` ("do", "joint", "px" or "py") at the 1-based
+    index, as its numerator over den: exact(ds, "do", j, i) is P(y_i | do x_j).
+    """
+    cell = getattr(dataset, table)
+    for k in index:
+        cell = cell[k - 1]
+    return Fraction(cell, dataset.den)
 
 
 FORMS = ("plain", "x", "y", "xy", "conditional")

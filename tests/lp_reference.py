@@ -18,6 +18,7 @@ from pocbounds.model import Dataset, Infeasible
 from pocbounds.queryir import ZERO, CanonicalQuery
 
 from arm_lp_reference import _solve_min_exact
+from conftest import exact
 
 MAX_COLUMNS = 3**3 * 3
 
@@ -53,7 +54,7 @@ def _build_constraints(dataset: Dataset):
                 if t[j - 1] == i:
                     row[var(t_idx, j)] = one
             rows.append(row)
-            rhs.append(dataset.exact_joint(j, i))
+            rhs.append(exact(dataset, "joint", j, i))
     for j in range(1, m + 1):
         for i in range(1, n + 1):
             row = [zero] * ncols
@@ -62,7 +63,7 @@ def _build_constraints(dataset: Dataset):
                     for jp in range(1, m + 1):
                         row[var(t_idx, jp)] = one
             rows.append(row)
-            rhs.append(dataset.exact_do(j, i))
+            rhs.append(exact(dataset, "do", j, i))
     return types, rows, rhs
 
 
@@ -108,10 +109,10 @@ def reference_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fr
 def evidence_divisor(dataset: Dataset, cq: CanonicalQuery) -> Fraction:
     """The exact probability of a conditional query's evidence."""
     if cq.divisor_x is not None and cq.divisor_y is not None:
-        return dataset.exact_joint(cq.divisor_x, cq.divisor_y)
+        return exact(dataset, "joint", cq.divisor_x, cq.divisor_y)
     if cq.divisor_x is not None:
-        return dataset.exact_x(cq.divisor_x)
-    return dataset.exact_y(cq.divisor_y)
+        return exact(dataset, "px", cq.divisor_x)
+    return exact(dataset, "py", cq.divisor_y)
 
 
 def reference_feasible(dataset: Dataset) -> bool:

@@ -15,6 +15,7 @@ from pocbounds.oracle import tight_bounds
 from pocbounds.queryir import STANDARD, CounterfactualTerm, Query, canonicalize
 from pocbounds.simgen import export_csv, random_model, random_query, run_simulation
 
+from conftest import exact
 from tian_pearl_reference import tian_pearl
 
 SIZES = [(2, 2), (2, 3), (3, 2), (3, 3)]
@@ -173,7 +174,7 @@ def test_criterion_7_binary_reduction():
     collected = 0
     while collected < 200:
         ds = random_model(rng, 2, 2)
-        if ds.exact_joint(1, 1) < 1e-9 or ds.exact_joint(2, 2) < 1e-9:
+        if exact(ds, "joint", 1, 1) < 1e-9 or exact(ds, "joint", 2, 2) < 1e-9:
             continue
         pn = tian_pearl(ds, "PN")
         pn_eng = bound(ds, "P(y2_x2 | x1, y1)").interval

@@ -178,6 +178,14 @@ class TestErrorPaths:
     def test_bad_sample_count_type(self, capsys):
         assert main(["simulate", "--samples", "many"]) == 1
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_sample_count(self, count, capsys):
+        assert main(["simulate", "--samples", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage = "error: pocbounds simulate: argument --samples: invalid positive integer"
+        assert captured.err == f"{usage}: '{count}'\n"
+
     def test_query_syntax_error(self, capsys):
         assert main(["bound", "--data", TREATMENT, "--query", "P(y1_x1"]) == 1
         assert "query syntax error" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from pocbounds.model import Infeasible, dataset_from_counts, dataset_from_probs
 from pocbounds.queryir import CounterfactualTerm, Query, UnsupportedQuery
 from pocbounds.simgen import random_model
 
+from conftest import exact
 from tian_pearl_reference import NotBinary, tian_pearl
 
 
@@ -275,7 +276,7 @@ class TestBinarySpecialCases:
         checked = 0
         for _ in range(80):
             ds = random_model(rng, 2, 2)
-            if ds.exact_joint(1, 1) < 1e-9 or ds.exact_joint(2, 2) < 1e-9:
+            if exact(ds, "joint", 1, 1) < 1e-9 or exact(ds, "joint", 2, 2) < 1e-9:
                 continue
             pn = tian_pearl(ds, "PN")
             q = bound(ds, "P(y2_x2 | x1, y1)").interval

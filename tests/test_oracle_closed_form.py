@@ -7,14 +7,23 @@ checks spaces up to 8x4 and queries up to 8 terms. An 8x4 solve costs about
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from pocbounds.engine import ZeroEvidenceProbability
 from pocbounds.frechet import EPS_NUM
 from pocbounds.model import Infeasible, dataset_from_counts
-from pocbounds.oracle import _exact_bounds
-from pocbounds.queryir import EXACT, STANDARD, ZERO, CounterfactualTerm, Query, canonicalize
+from pocbounds.oracle import _closed_form, _exact_bounds
+from pocbounds.queryir import (
+    EXACT,
+    STANDARD,
+    ZERO,
+    CounterfactualTerm,
+    Query,
+    canonicalize,
+    parse_query,
+)
 
 from arm_lp_reference import arm_lp_bounds
 from conftest import FORMS, draw_kind, draw_query
@@ -69,7 +78,7 @@ def _check(ds, cq):
     if cq.conditional:
         divisor = evidence_divisor(ds, cq)
         lo, hi = lo / divisor, hi / divisor
-    assert _exact_bounds(ds, cq) == (lo, hi), (ds.exp_num, ds.obs_num, cq)
+    assert _exact_bounds(ds, cq) == (lo, hi), (ds.do, ds.joint, cq)
     return True
 
 
@@ -83,7 +92,7 @@ def _draw(rng, m, n, form, kind):
 
 
 def _has_zero_demand(ds, cq) -> bool:
-    return any(ds.exact_do(t.treatment, t.outcome) == ds.exact_joint(t.treatment, t.outcome) for t in cq.terms)
+    return any(ds.do[j - 1][y - 1] == ds.joint[j - 1][y - 1] for j, y in cq.terms)
 
 
 def test_random_queries_match_arm_lp():
@@ -104,6 +113,16 @@ def test_random_queries_match_arm_lp():
     assert count >= 120, count
     assert len(compared) == 3 * 3 + 2 * 2, sorted(compared)
     assert zero_demand >= 20, zero_demand
+
+
+def test_fractional_prefix_cap_matches_arm_lp():
+    # The closed form leaves the integers only where a prefix cap
+    # (D_(1) + ... + D_(i)) / (i - 1) binds: here (1 + 1 + 1) / 2 over den 18.
+    ds = dataset_from_counts([[5, 13]] * 3, [[4, 2]] * 3)
+    cq = canonicalize(parse_query("P(y1_x1, y1_x2, y1_x3)", ds.space))
+    assert _closed_form(ds, cq)[1] == Fraction(3, 2)
+    assert _check(ds, cq)
+    assert _exact_bounds(ds, cq)[1] == Fraction(1, 12)
 
 
 @pytest.mark.parametrize("form", ("plain", "xy", "conditional"))

@@ -1,20 +1,20 @@
 """The value semantics callers rely on, for every record type in the package.
 
 Records are immutable, hashable values that compare by their fields. A
-Dataset's floats are derived from its integers, so two datasets with equal
-floats but different integers differ.
+Dataset compares on den and its numerators over den, so two datasets with
+equal ratios but different den differ.
 """
 
 import copy
 import pickle
 
 import pytest
-from conftest import TREATMENT_EXP, TREATMENT_OBS
+from conftest import TREATMENT_EXP, TREATMENT_OBS, exact
 
 import pocbounds
 from pocbounds import bound, run_simulation
 from pocbounds.frechet import Interval
-from pocbounds.model import DataError, ProblemSpace, dataset_from_counts
+from pocbounds.model import DataError, Dataset, ProblemSpace, dataset_from_counts
 from pocbounds.queryir import CounterfactualTerm, Query, UnsupportedQuery, canonicalize
 
 T = CounterfactualTerm
@@ -49,9 +49,9 @@ def records(treatment):
         ("canonical", "kind"),
         ("space", "m"),
         ("report", "ok"),
-        ("dataset", "exp_num"),
+        ("dataset", "den"),
         ("dataset", "do"),
-        ("dataset", "obs_den"),
+        ("dataset", "joint"),
         ("dataset", "px"),
         ("trace", "lo"),
         ("result", "interval"),
@@ -140,16 +140,19 @@ def test_problem_space_validates_its_arguments():
     assert space == ProblemSpace(m=2, n=3)
 
 
-def test_datasets_compare_on_integers_not_floats():
+def test_datasets_compare_on_den_and_numerators():
     ds = dataset_from_counts([[1, 3], [2, 2]], [[1, 1], [1, 1]])
     same = dataset_from_counts([[1, 3], [2, 2]], [[1, 1], [1, 1]])
     assert ds == same and hash(ds) == hash(same)
-    # Equal ratios, different ingested integers: not equal.
+    # Other counts, the same den and the same numerators over it: equal.
+    halved = dataset_from_counts([[1, 3], [1, 1]], [[1, 1], [1, 1]])
+    assert ds == halved and hash(ds) == hash(halved)
+    # Equal ratios over a larger den: not equal.
     scaled_exp = dataset_from_counts([[2, 6], [2, 2]], [[1, 1], [1, 1]])
-    assert ds.exact_do(1, 1) == scaled_exp.exact_do(1, 1)
+    assert exact(ds, "do", 1, 1) == exact(scaled_exp, "do", 1, 1)
     assert ds != scaled_exp
     scaled_obs = dataset_from_counts([[1, 3], [2, 2]], [[2, 2], [2, 2]])
-    assert ds.exact_joint(1, 1) == scaled_obs.exact_joint(1, 1)
+    assert exact(ds, "joint", 1, 1) == exact(scaled_obs, "joint", 1, 1)
     assert ds != scaled_obs
     assert (ds.den, ds.px, ds.py) == (4, (2, 2), (2, 2))
 
@@ -158,6 +161,10 @@ def test_interval_unpacks_and_equals_its_ends():
     lo, hi = Interval(0.25, 0.75)
     assert (lo, hi) == (0.25, 0.75)
     assert Interval(0.25, 0.75) == (0.25, 0.75)
+
+
+def test_dataset_holds_one_set_of_numbers():
+    assert Dataset._fields == ("space", "den", "do", "joint", "px", "py", "validation")
 
 
 def test_public_api_is_pinned():

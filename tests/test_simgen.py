@@ -21,6 +21,7 @@ from pocbounds.simgen import (
     write_csv,
 )
 
+from conftest import exact
 from sampler_reference import (
     _draw_fractions,
     _draw_observational,
@@ -63,8 +64,8 @@ class TestModelDraw:
         for idx in range(50):
             f, ds = generate_sample(rng_for(11, idx))
             for a in range(3):
-                assert ds.exact_do(1, a + 1) == sum(Fraction(f[3 * a + b]) for b in range(3))
-                assert ds.exact_do(2, a + 1) == sum(Fraction(f[3 * b + a]) for b in range(3))
+                assert exact(ds, "do", 1, a + 1) == sum(Fraction(f[3 * a + b]) for b in range(3))
+                assert exact(ds, "do", 2, a + 1) == sum(Fraction(f[3 * b + a]) for b in range(3))
 
     def test_samples_satisfy_consistency(self):
         for idx in range(25):
@@ -110,15 +111,14 @@ class TestIntegerLayout:
             f, ds = generate_sample(rng_for(13, idx))
             ref_f, ref = common_scale_sample(rng_for(13, idx))
             assert f == ref_f
-            assert ds.exp_den == (2**53, 2**53)
             assert ds.validation == ref.validation
             for j, i in itertools.product((1, 2), (1, 2, 3)):
-                assert ds.exact_do(j, i) == ref.exact_do(j, i)
-                assert ds.exact_joint(j, i) == ref.exact_joint(j, i)
+                assert exact(ds, "do", j, i) == exact(ref, "do", j, i)
+                assert exact(ds, "joint", j, i) == exact(ref, "joint", j, i)
             for j in (1, 2):
-                assert ds.exact_x(j) == ref.exact_x(j)
+                assert exact(ds, "px", j) == exact(ref, "px", j)
             for i in (1, 2, 3):
-                assert ds.exact_y(i) == ref.exact_y(i)
+                assert exact(ds, "py", i) == exact(ref, "py", i)
 
 
 class TestReproducibility:

@@ -11,6 +11,8 @@ from pocbounds.engine import _evidence_divisor
 from pocbounds.frechet import Interval
 from pocbounds.model import Dataset
 
+from conftest import exact
+
 
 class NotBinary(ValueError):
     """The Tian-Pearl special cases need m = n = 2."""
@@ -26,11 +28,11 @@ def tian_pearl(dataset: Dataset, kind: str) -> Interval:
     if dataset.space.m != 2 or dataset.space.n != 2:
         raise NotBinary(f"need m = n = 2, got m={dataset.space.m}, n={dataset.space.n}")
     what = kind.upper()
-    do = [[float(dataset.exact_do(j, i)) for i in (1, 2)] for j in (1, 2)]
-    joint = [[float(dataset.exact_joint(j, i)) for i in (1, 2)] for j in (1, 2)]
+    do = [[float(exact(dataset, "do", j, i)) for i in (1, 2)] for j in (1, 2)]
+    joint = [[float(exact(dataset, "joint", j, i)) for i in (1, 2)] for j in (1, 2)]
     (y_x, yp_x), (y_xp, yp_xp) = do
     (xy, xyp), (xpy, xpyp) = joint
-    y, yp = float(dataset.exact_y(1)), float(dataset.exact_y(2))
+    y, yp = float(exact(dataset, "py", 1)), float(exact(dataset, "py", 2))
     if what == "PNS":
         lo = max(0.0, y_x - y_xp, y - y_xp, y_x - y)
         hi = min(y_x, yp_xp, xy + xpyp, y_x - y_xp + xyp + xpy)
