@@ -7,15 +7,16 @@ containment rate, and a small gap histogram to eyeball the distribution.
 
 import argparse
 
+from pocbounds.cli import _nonnegative_int, _positive_int
 from pocbounds.simgen import run_simulation, write_csv
 
 
 def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--samples", type=int, default=1000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--samples", type=_positive_int, default=1000)
+    ap.add_argument("--seed", type=_nonnegative_int, default=0)
     ap.add_argument("--out", help="CSV path for per-sample rows")
-    ap.add_argument("--bins", type=int, default=10, help="histogram bins")
+    ap.add_argument("--bins", type=_positive_int, default=10, help="histogram bins")
     return ap.parse_args()
 
 

@@ -16,6 +16,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 
+from pocbounds.cli import _positive_int
 from pocbounds.engine import bound
 from pocbounds.oracle import tight_bounds
 from pocbounds.queryir import format_query
@@ -37,7 +38,7 @@ class Bucket:
 
 def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--cases", type=int, default=400)
+    ap.add_argument("--cases", type=_positive_int, default=400)
     ap.add_argument("--seed", type=int, default=0)
     return ap.parse_args()
 

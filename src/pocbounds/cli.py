@@ -71,10 +71,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"invalid positive integer: {text!r}")
-    return int(text)
+def _int_at_least(least: int, kind: str):
+    """An argparse type for a decimal integer >= least."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"invalid {kind} integer: {text!r}")
+        return int(text)
+
+    return parse
+
+
+_positive_int, _nonnegative_int = _int_at_least(1, "positive"), _int_at_least(0, "non-negative")
 
 
 def fixture_path(name: str) -> Path:
@@ -182,7 +190,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bound", help="bound a counterfactual query on a dataset")
     p.add_argument("--data", required=True, help="dataset JSON file")
     p.add_argument("--query", required=True, help='query text, e.g. "P(y1_x1, y1_x2)"')
-    p.add_argument("--trace", action="store_true", help="print the derivation tree as JSON")
+    trace_help = "print the derivation tree as JSON, naming each node's theorem (T1-T8, Exact, Zero)"
+    p.add_argument("--trace", action="store_true", help=trace_help)
     p.add_argument("--oracle", action="store_true", help="also print the LP-tight interval")
     p.set_defaults(func=_cmd_bound)
 
@@ -193,7 +202,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="random-model simulation study")
     p.add_argument("--samples", type=_positive_int, default=_SIM_SAMPLES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_nonnegative_int, default=DEFAULT_SEED)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 

@@ -1,13 +1,16 @@
 """Bound computation for probabilities of causation.
 
-The evaluator walks a canonical query through eight theorem dispatchers:
-four closed forms for a single counterfactual term (joint with an observed
-outcome, an observed treatment, or both) and four recursive forms for
-conjunctions of terms. An event with no term left, observed evidence only,
-is a point leaf. Every theorem is a max over lower-bound candidates
-against a min over upper-bound candidates; the recursion consumes the final
-clamped bounds of its subqueries, each evaluated once per call and cached on
-its canonical key, so `stats_evaluated` is the number of distinct subqueries.
+The paper's eight theorems bound one counterfactual term jointly with an
+observed outcome (T1, T2), an observed treatment (T3) or both (T4), and a
+conjunction of terms jointly with no evidence (T5), an observed treatment
+(T6), outcome (T7) or both (T8). The evaluator has one body per formula:
+T1, T2, one for T3 and T4, which differ only in the evidence cell, and one
+for T5-T8. A term with no evidence, or observed evidence alone, is an
+exact point leaf. Every node is a max over lower-bound candidates against a
+min over upper-bound candidates; the conjunction consumes the final
+clamped bounds of its subqueries, each evaluated once per call and cached
+on its canonical key, so `stats_evaluated` is the number of distinct
+subqueries.
 
 Every candidate is a sum of table cells with integer coefficients, so the
 evaluator computes each one exactly, as a numerator over the dataset's
@@ -27,26 +30,49 @@ clamped ends as probabilities. Conditional queries trace the joint event;
 the result interval is the joint interval divided by the evidence
 probability.
 
+T3 and T4 are tight. Write D = P(y_i_x_j) - P(x_j, y_i) >= 0 and e for
+the evidence cell, P(x_p) or P(x_p, y_q), with p != j. The body gives
+[max(0, D + P(x_j) + e - 1), min(D, e)]. oracle._closed_form with one term
+meets only arm x_p, with cap_p = e and theta_p = P(x_p) - e >= 0. The
+term's own arm is outside it, so the max is min(cap_p, D). For the min,
+every arm but x_p has free capacity P(x_c) and x_p has theta_p, so the
+one-term cut gives F* = min(D, 1 - P(x_p) - P(x_j) + theta_p) and the min
+is D - F* = max(0, D + P(x_j) + e - 1). Both ends lie in [0, 1], as
+P(x_j) + e <= 1, so the clamp keeps them, and bound and tight_bounds
+divide the same ints by the same divisor: the intervals are equal bit for
+bit, conditional queries included.
+
+Pair dominance. A conjunction's upper candidates are each term's pair
+(t, evidence), the node of t alone with the same evidence, and decomp.
+No canonical term shares the evidence treatment, so the pair is T1-T4,
+and its hi is at most P(t) and at most P(evidence): T3/T4's candidates are
+D <= P(t) and e itself, T1's are P(t) and P(y_q), T2's are
+P(t) - P(x_j, y_i) and P(y_q) - P(x_j, y_q). The clamp to [0, den] is
+monotone and keeps P(t) and P(evidence), so neither, as a candidate beside
+pair(t), could be a strict minimum, and T6-T8 leave them out. With no
+evidence (T5) the pair is the term itself: its candidate is P(t) and no
+node is evaluated.
+
 Leave-one-out pruning. For each term t of a k-term node, T5-T8 could also
 bound the event through the (k-1)-term plain subquery `rest` that leaves t
-out: lo(rest) + partner(t) - 1 from below, where partner(t) is P(t) in T5 and
-the lower end of t's pair node in T6-T8, and hi(rest) from above. Evaluating
-every `rest` makes the recursion grow like 2^(k+2). The engine drops the
-upper form and evaluates the lower one only where it can win, and neither
-step changes an interval:
+out: lo(rest) + lo(pair(t)) - 1 from below and hi(rest) from above.
+Evaluating every `rest` makes the recursion grow like 2^(k+2). The engine
+drops the upper form and evaluates the lower one only where it can win,
+and neither step changes an interval:
 
-* Upper. hi(rest) is never strictly below the node's other upper candidates
-  (each P(term), P(evidence), each pair(term), decomp). If it is some P(t')
-  it is one of them. Otherwise it is the decomp sum of rest, whose summands
-  are arm intervals clamped to >= 0, so the sum is at least each summand.
-  In T6 and T8 take the evidence arm x_p: each upper candidate of
-  (rest, x_p) is a candidate of the node or dominates one, since
-  P(x_p) >= P(x_p, y_q) and the T3 pair (t', x_p) dominates the T4 pair
-  (t', x_p, y_q). In T5 and T7 compare the two decomp sums arm by arm: each
-  arm of rest has fewer terms or less evidence than the node's arm, or the
-  node skips that arm, and hi only shrinks as terms or evidence are added.
+* Upper. hi(rest) is never strictly below the node's own upper
+  candidates. rest has no evidence, so hi(rest) is some P(t') or the
+  decomp sum of rest. P(t') is a T5 candidate, and in T6-T8 it is at least
+  pair(t') by pair dominance. The decomp sum's summands are arm intervals
+  clamped to >= 0, so the sum is at least each summand. In T6 and T8 take
+  the evidence arm (rest, x_p): its hi is the T3 node (t', x_p) or a min
+  over such pairs. In T6 each is a pair of the node; in T8 each dominates
+  the node's T4 pair (t', x_p, y_q), since P(x_p) >= P(x_p, y_q). In T5
+  and T7 compare the two decomp sums arm by arm: each arm of rest has
+  fewer terms or less evidence than the node's arm, or the node skips that
+  arm, and hi only shrinks as terms or evidence are added.
 * Lower. lo(rest) <= hi(rest) <= min of P(t') over rest, since each P(t')
-  is an upper candidate of rest, so the cap min(P(t')) + partner(t) - 1 is
+  is an upper candidate of rest, so the cap min(P(t')) + lo(pair(t)) - 1 is
   at least the candidate. The pair and decomp children are evaluated first;
   `rest` is evaluated only when its cap exceeds the best lower value found
   so far, so a skipped candidate could at most have tied it.
@@ -138,25 +164,17 @@ class _Evaluator:
 
     def _dispatch(self, terms, ex, ey):
         if not terms:
-            return self._evidence_point(ex, ey)
-        if len(terms) == 1:
-            term = terms[0]
-            if ex is None and ey is None:
-                return self._exact_point(term)
-            if ex is None:
-                if ey == term.outcome:
-                    return self._t1(term)
-                return self._t2(term, ey)
-            if ey is None:
-                return self._t3(term, ex)
-            return self._t4(term, ex, ey)
-        if ex is None and ey is None:
-            return self._t5(terms)
+            return self._point(terms, ex, ey, self.ds.evidence(ex, ey))
+        if len(terms) > 1:
+            return self._conjunction(terms, ex, ey)
+        term = terms[0]
+        if ex is not None:
+            return self._x_evidence(term, ex, ey)
         if ey is None:
-            return self._evidence_node(terms, ex, None, "T6")
-        if ex is None:
-            return self._evidence_node(terms, None, ey, "T7")
-        return self._evidence_node(terms, ex, ey, "T8")
+            return self._point(terms, ex, ey, self.ds.do[term.treatment - 1][term.outcome - 1])
+        if ey == term.outcome:
+            return self._t1(term)
+        return self._t2(term, ey)
 
     def _node(self, terms, ex, ey, theorem, lower, upper, children):
         lo_label, lo = max(lower, key=lambda cand: cand[1])
@@ -178,15 +196,9 @@ class _Evaluator:
 
     # -- single-term forms ------------------------------------------------
 
-    def _exact_point(self, t):
-        v = self.ds.do[t.treatment - 1][t.outcome - 1]
-        label = f"P(y{t.outcome}_x{t.treatment})"
-        return self._node((t,), None, None, "Exact", [(label, v)], [(label, v)], ())
-
-    def _evidence_point(self, ex, ey):
-        v = self.ds.evidence(ex, ey)
-        label = subquery_label((), ex, ey)
-        return self._node((), ex, ey, "Exact", [(label, v)], [(label, v)], ())
+    def _point(self, terms, ex, ey, value):
+        label = subquery_label(terms, ex, ey)
+        return self._node(terms, ex, ey, "Exact", [(label, value)], [(label, value)], ())
 
     def _t1(self, t):
         # P(y_i under x_j, joint with observed Y = y_i)
@@ -220,40 +232,23 @@ class _Evaluator:
         ]
         return self._node((t,), None, q, "T2", lower, upper, ())
 
-    def _t3(self, t, p):
-        # P(y_i under x_j, joint with observed X = x_p), p != j
+    def _x_evidence(self, t, p, q):
+        # P(y_i under x_j, joint with observed X = x_p (T3), and Y = y_q (T4)), p != j
         ds, j, i = self.ds, t.treatment, t.outcome
         slack = ds.do[j - 1][i - 1] - ds.joint[j - 1][i - 1]
+        evidence, ev_label = ds.evidence(p, q), subquery_label((), p, q)
         lower = [
             ("0", 0),
             (
-                f"P(y{i}_x{j})-P(x{j}, y{i})-1+P(x{j})+P(x{p})",
-                slack - ds.den + ds.px[j - 1] + ds.px[p - 1],
-            ),
-        ]
-        upper = [
-            (f"P(y{i}_x{j})-P(x{j}, y{i})", slack),
-            (f"P(x{p})", ds.px[p - 1]),
-        ]
-        return self._node((t,), p, None, "T3", lower, upper, ())
-
-    def _t4(self, t, p, q):
-        # P(y_i under x_j, joint with observed X = x_p and Y = y_q), p != j
-        ds, j, i = self.ds, t.treatment, t.outcome
-        slack = ds.do[j - 1][i - 1] - ds.joint[j - 1][i - 1]
-        evidence = ds.joint[p - 1][q - 1]
-        lower = [
-            ("0", 0),
-            (
-                f"P(y{i}_x{j})+P(x{p}, y{q})-1+P(x{j})-P(x{j}, y{i})",
+                f"P(y{i}_x{j})+{ev_label}-1+P(x{j})-P(x{j}, y{i})",
                 slack + evidence - ds.den + ds.px[j - 1],
             ),
         ]
         upper = [
             (f"P(y{i}_x{j})-P(x{j}, y{i})", slack),
-            (f"P(x{p}, y{q})", evidence),
+            (ev_label, evidence),
         ]
-        return self._node((t,), p, q, "T4", lower, upper, ())
+        return self._node((t,), p, q, "T3" if q is None else "T4", lower, upper, ())
 
     # -- multi-term forms --------------------------------------------------
 
@@ -261,33 +256,25 @@ class _Evaluator:
     def _term_label(t):
         return f"y{t.outcome}_x{t.treatment}"
 
-    def _t5(self, terms):
-        pes = [self.ds.do[t.treatment - 1][t.outcome - 1] for t in terms]
-        frechet = sum(pes) - (len(terms) - 1) * self.ds.den
+    def _conjunction(self, terms, ex, ey):
+        """T5-T8: k terms, jointly with no evidence, observed x_p, y_q, or both."""
+        ds = self.ds
+        pes = [ds.do[t.treatment - 1][t.outcome - 1] for t in terms]
         children = []
+        if ex is None and ey is None:
+            # Each term's pair is the term itself: no node to evaluate.
+            theorem, p_ev, partners = "T5", ds.den, pes
+            upper = [(f"P({self._term_label(t)})", pe) for t, pe in zip(terms, pes)]
+        else:
+            theorem = "T6" if ey is None else "T7" if ex is None else "T8"
+            p_ev, partners, upper = ds.evidence(ex, ey), [], []
+            for t in terms:
+                (pair_lo, pair_hi), pair_tr = self.eval((t,), ex, ey)
+                children.append(pair_tr)
+                partners.append(pair_lo)
+                upper.append((f"pair({self._term_label(t)})", pair_hi))
+        frechet = sum(pes) + p_ev - len(terms) * ds.den
         lower = [("0", 0), ("frechet", frechet)]
-        upper = [(f"P({self._term_label(t)})", pe) for t, pe in zip(terms, pes)]
-        dec_lo, dec_hi = self._decomp(terms, None, children)
-        lower += self._loo_lower(terms, pes, pes, max(0, frechet, dec_lo), children)
-        lower.append(("decomp", dec_lo))
-        upper.append(("decomp", dec_hi))
-        return self._node(terms, None, None, "T5", lower, upper, children)
-
-    def _evidence_node(self, terms, ex, ey, theorem):
-        """T6-T8: k terms jointly with observed x_p, y_q, or both."""
-        pes = [self.ds.do[t.treatment - 1][t.outcome - 1] for t in terms]
-        p_ev = self.ds.evidence(ex, ey)
-        frechet = sum(pes) + p_ev - len(terms) * self.ds.den
-        children = []
-        lower = [("0", 0), ("frechet", frechet)]
-        upper = [(f"P({self._term_label(t)})", pe) for t, pe in zip(terms, pes)]
-        upper.append((subquery_label((), ex, ey), p_ev))
-        pair_los = []
-        for t in terms:
-            (pair_lo, pair_hi), pair_tr = self.eval((t,), ex, ey)
-            children.append(pair_tr)
-            pair_los.append(pair_lo)
-            upper.append((f"pair({self._term_label(t)})", pair_hi))
         best = max(0, frechet)
         dec_lower = []
         if ex is None:
@@ -295,7 +282,7 @@ class _Evaluator:
             best = max(best, dec_lo)
             dec_lower = [("decomp", dec_lo)]
             upper.append(("decomp", dec_hi))
-        lower += self._loo_lower(terms, pes, pair_los, best, children) + dec_lower
+        lower += self._loo_lower(terms, pes, partners, best, children) + dec_lower
         return self._node(terms, ex, ey, theorem, lower, upper, children)
 
     def _decomp(self, terms, q, children):
@@ -319,8 +306,8 @@ class _Evaluator:
     def _loo_lower(self, terms, pes, partners, best, children):
         """Leave-one-out lower candidates lo(rest) + partner - 1 that can win.
 
-        `partners[idx]` pairs with the terms other than terms[idx]: P(term)
-        in T5, the pair interval's lo in T6-T8. Since lo(rest) <= min P over
+        `partners[idx]` pairs with the terms other than terms[idx]: the lo of
+        its pair node, which is P(term) in T5. Since lo(rest) <= min P over
         rest, the same sum taken with that minimum caps the candidate, and
         rest is evaluated only when the cap exceeds `best`, the largest lower
         value so far.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -27,6 +28,29 @@ def write_data(tmp_path, exp, obs, name="data.json"):
 TREATMENT = str(fixture_path("treatment"))
 INSTITUTE = str(fixture_path("institute"))
 
+# sha256 of `bound --trace` stdout for each published fixture row.
+TRACE_DIGESTS = {
+    ("treatment", "P(y3_x1, y1_x2)"): "a3fd666efe8487f087be19fd3e99960ab429de9f8c42d772bc250fd770e3095b",
+    ("treatment", "P(y1_x2, y2_x3)"): "9bf086590e844b99e538bdbce209cabed9d0ecd6f60064793f93011be55a2fbf",
+    ("treatment", "P(y3_x1, y2_x3)"): "c7f60129b7e8efbca7bf4b9627a5822c93d5ccbec28d15a034501d638d1a325d",
+    ("treatment", "P(y1_x2, y2_x3, x1, y3)"): "2ee6f5b1a103d8ebece4518bf66cd1ba6e833ec5134fe1d3cbb71b6ffdcc66d1",
+    ("treatment", "P(y3_x1, y2_x3, x2, y1)"): "0dbb12e4337c367accf800161f97b9b2ad67fcfef823d180d2544b12e5f34e46",
+    ("treatment", "P(y3_x1, y1_x2, x3, y2)"): "701ffad23798afe41837c2a0f62074c35fb014291ea05cda2e32d8ef6beede94",
+    ("treatment", "P(y3_x1, y1_x2, y2_x3)"): "dd5449e639b9a09883f48c47e62239240e373876e3e84c94d11ab4845294b990",
+    ("institute", "P(y1_x3 | x2, y2)"): "7f6f71e00c53309649799e5c3c06c66bd2370c38453e3e45f5b9c88a3584a444",
+    ("institute", "P(y1_x4 | x2, y2)"): "5e528392ed4793383018be65a59d76170b917135e2b450c5d7a4a979a72f91b4",
+    ("vaccine", "P(y4_x2, x1, y1)"): "f1104788363db06f7861172ea9a3425c2a803d8f2f9cb3912c61d91489480fdc",
+    ("vaccine", "P(y1_x1, x2, y4)"): "98bda9d05aa20eb639761362f8cb1fa6804674e23f8594c1be68077b7b3c7fa8",
+    ("vaccine", "P(y4_x2, x1, y2)"): "85935f7570fe750441c96941f62866aa87183f3152eecea693ef136ceea5386e",
+    ("vaccine", "P(y2_x1, x2, y4)"): "33ec9f8e790f23d766a83e955895273cba0f8b3941daecd314d7a501be9d1642",
+    ("vaccine", "P(y4_x2, x1, y3)"): "cec04ce287b8050196cb8551a3107b18753aed3fc093d9e8e277516ae7b0f091",
+    ("vaccine", "P(y3_x1, x2, y4)"): "747ecefeca5b031026d36c6fc59e0c78c6d67c4316db77930e12f95828b53db8",
+    ("vaccine", "P(y1_x1, y4_x2)"): "c1e5acdb8114b767637dfc3e8ce51d5f440163bce5f189233e3770615a9ca6f2",
+    ("vaccine", "P(y2_x1, y4_x2)"): "5fcc8046377ddd8bd7a95d614c137289b509a634d9ed3d35f90e9fcac4411012",
+    ("vaccine", "P(y3_x1, y4_x2)"): "6931730e6def7dbb6dbe02dd3fdc4a816e03a20fa161bc8c2443324ca2660f8e",
+}
+FIXTURE_ROWS = [(ex, text) for ex, rows in cli._REPRODUCE_BOUNDS.items() for text, _, _ in rows]
+
 
 class TestBound:
     def test_interval_output(self, capsys):
@@ -48,6 +72,16 @@ class TestBound:
             "query", "theorem", "lower_branch", "upper_branch", "lo", "hi", "children",
         }
         assert doc["theorem"] == "T5"
+
+    @pytest.mark.parametrize("example, query", FIXTURE_ROWS)
+    def test_trace_bytes_pinned(self, example, query, capsys):
+        code = main(["bound", "--data", str(fixture_path(example)), "--query", query, "--trace"])
+        assert code == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == TRACE_DIGESTS[example, query], (
+            f"`bound --trace` output of {query} on {example} changed; a moved label or "
+            "branch must be listed in CHANGES.md before this digest is updated"
+        )
 
     def test_oracle_cross_check(self, capsys):
         code = main(["bound", "--data", TREATMENT, "--query", "P(y3_x1, y1_x2, y2_x3)", "--oracle"])
@@ -185,6 +219,14 @@ class TestErrorPaths:
         assert captured.out == ""
         usage = "error: pocbounds simulate: argument --samples: invalid positive integer"
         assert captured.err == f"{usage}: '{count}'\n"
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed(self, seed, capsys):
+        assert main(["simulate", "--samples", "2", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage = "error: pocbounds simulate: argument --seed: invalid non-negative integer"
+        assert captured.err == f"{usage}: '{seed}'\n"
 
     def test_query_syntax_error(self, capsys):
         assert main(["bound", "--data", TREATMENT, "--query", "P(y1_x1"]) == 1

@@ -185,17 +185,40 @@ class TestOracleInvariants:
         lp = tight_bounds(ds, q)
         assert eng.lo <= lp.lo and lp.hi <= eng.hi
 
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(case=mass_cases(sizes=((2, 2), (2, 3))), data=st.data())
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=mass_cases(sizes=((2, 2), (2, 3), (3, 2), (3, 3))), data=st.data())
     def test_joint_evidence_form_is_tight(self, case, data):
+        # The engine docstring proves T3/T4 equal to the closed form at k = 1.
         m, n, ds = case
         j = data.draw(st.integers(1, m))
         i = data.draw(st.integers(1, n))
         p = data.draw(st.integers(1, m).filter(lambda v: v != j))
         # T4 with an observed outcome, T3 without one.
         qy = data.draw(st.one_of(st.none(), st.integers(1, n)))
-        q = Query(terms=(CounterfactualTerm(j, i),), evidence_x=p, evidence_y=qy)
+        conditional = data.draw(st.booleans())
+        assume(not conditional or ds.evidence(p, qy) > 0)
+        q = Query(
+            terms=(CounterfactualTerm(j, i),), evidence_x=p, evidence_y=qy, conditional=conditional
+        )
         assert bound(ds, q).interval == tight_bounds(ds, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mass_cases(sizes=((2, 2), (2, 3), (3, 2), (3, 3))), data=st.data())
+    def test_single_term_hi_is_below_term_and_evidence(self, case, data):
+        # Pair dominance: the conjunctions keep no P(term) or P(evidence)
+        # upper candidate because a pair's hi is at most both. Rounding is
+        # monotone, so no slack is needed.
+        m, n, ds = case
+        j = data.draw(st.integers(1, m))
+        i = data.draw(st.integers(1, n))
+        ex = data.draw(st.one_of(st.none(), st.integers(1, m).filter(lambda v: v != j)))
+        ey = data.draw(st.integers(1, n)) if ex is None else data.draw(
+            st.one_of(st.none(), st.integers(1, n))
+        )
+        q = Query(terms=(CounterfactualTerm(j, i),), evidence_x=ex, evidence_y=ey)
+        hi = bound(ds, q).interval.hi
+        assert hi <= ds.do[j - 1][i - 1] / ds.den
+        assert hi <= ds.evidence(ex, ey) / ds.den
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(ds=raw_tables())

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -20,6 +22,15 @@ def test_validate_against_oracle():
     assert "containment: OK" in out.stdout.splitlines()
 
 
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_validate_against_oracle_refuses_no_cases(cases):
+    # With no case run, "containment: OK" would pass vacuously.
+    out = _run("validate_against_oracle.py", f"--cases={cases}")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "argument --cases: invalid positive integer" in out.stderr
+
+
 def test_oracle_timings():
     out = _run("oracle_timings.py")
     assert out.returncode == 0, out.stderr
@@ -30,3 +41,12 @@ def test_run_simulation(tmp_path):
     out = _run("run_simulation.py", "--samples", "20", "--out", str(csv))
     assert out.returncode == 0, out.stderr
     assert len(csv.read_text(encoding="utf-8").splitlines()) == 21
+
+
+@pytest.mark.parametrize("arg, value", [("--samples", "0"), ("--seed", "-1"), ("--bins", "0")])
+def test_run_simulation_refuses_bad_counts(arg, value):
+    out = _run("run_simulation.py", arg, value)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert f"argument {arg}: invalid" in out.stderr
+    assert "Traceback" not in out.stderr
