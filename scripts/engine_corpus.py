@@ -9,6 +9,8 @@ instead.
     python3 scripts/engine_corpus.py --write   # (re)generate the corpus
     python3 scripts/engine_corpus.py --check   # diff the engine against it
 
+--check prints each query whose answer differs, one per line, and exits 1.
+
 Tables come from random integer response-type masses, so every table is
 consistent by construction. Half of them are skewed: a few types carry most
 of the mass, so outcomes are lopsided and some cells are empty. Queries have
@@ -166,7 +168,7 @@ def main() -> int:
 
     mismatches = check(ns.corpus)
     if mismatches:
-        print(f"{len(mismatches)} queries differ; first: {mismatches[0]}")
+        print("\n".join(mismatches))
         return 1
     print("every query matches bit for bit")
     return 0

@@ -5,7 +5,8 @@ Models and queries come from `pocbounds.simgen`: count tables realized by
 random response-type masses, so every table is consistent.
 
 For each random (dataset, query) pair the LP-tight interval must sit inside
-the closed-form interval. The report shows the worst containment slack seen,
+the closed-form interval, with no slack: both paths round the same exact
+rationals once. The report shows the worst containment slack seen,
 how often the closed forms are tight, and average interval widths, broken
 down by query shape.
 """
@@ -24,8 +25,6 @@ from pocbounds.simgen import random_model, random_query
 
 SIZES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 VARIANTS = ["plain", "x", "y", "xy"]
-# An engine end within this of the LP end counts as tight.
-TIGHT_EPS = 1e-9
 
 
 @dataclass
@@ -65,7 +64,7 @@ def main() -> int:
         key = f"{m}x{n} k={len(q.terms)} {variant}"
         b = buckets[key]
         b.cases += 1
-        b.tight += int(abs(eng.lo - lp.lo) <= TIGHT_EPS and abs(eng.hi - lp.hi) <= TIGHT_EPS)
+        b.tight += int(eng == lp)
         b.engine_width += eng.width
         b.lp_width += lp.width
 
@@ -75,7 +74,7 @@ def main() -> int:
     if worst_case:
         m, n, q = worst_case
         print(f"             at {m}x{n}, query {format_query(q)}")
-    print(f"containment: {'OK' if worst_slack >= -1e-9 else 'VIOLATED'}")
+    print(f"containment: {'OK' if worst_slack >= 0 else 'VIOLATED'}")
     print()
     print(f"{'bucket':22s} {'cases':>5s} {'tight':>5s} {'avg engine width':>17s} {'avg LP width':>13s}")
     for key in sorted(buckets):
@@ -84,7 +83,7 @@ def main() -> int:
             f"{key:22s} {b.cases:5d} {b.tight:5d} "
             f"{b.engine_width / b.cases:17.4f} {b.lp_width / b.cases:13.4f}"
         )
-    return 0 if worst_slack >= -1e-9 else 1
+    return 0 if worst_slack >= 0 else 1
 
 
 if __name__ == "__main__":

@@ -121,7 +121,8 @@ def _cmd_bound(args) -> int:
     if args.oracle:
         tight = oracle.tight_bounds(dataset, query)
         print(f"oracle: {_fmt(tight)}")
-        contained = result.interval.contains_interval(tight)
+        # Both paths round the same exact ends once: no slack is needed.
+        contained = result.interval.lo <= tight.lo and tight.hi <= result.interval.hi
         print(f"oracle containment: {'ok' if contained else 'VIOLATED'}")
         if not contained:
             return 2

@@ -4,13 +4,13 @@ The paper's eight theorems bound one counterfactual term jointly with an
 observed outcome (T1, T2), an observed treatment (T3) or both (T4), and a
 conjunction of terms jointly with no evidence (T5), an observed treatment
 (T6), outcome (T7) or both (T8). The evaluator has one body per formula:
-T1, T2, one for T3 and T4, which differ only in the evidence cell, and one
-for T5-T8. A term with no evidence, or observed evidence alone, is an
-exact point leaf. Every node is a max over lower-bound candidates against a
-min over upper-bound candidates; the conjunction consumes the final
-clamped bounds of its subqueries, each evaluated once per call and cached
-on its canonical key, so `stats_evaluated` is the number of distinct
-subqueries.
+one for T1-T4, which differ only in where the evidence meets the term's
+own arm, and one for T5-T8. A term with no evidence, or observed evidence
+alone, is an exact point leaf. Every node is a max over lower-bound
+candidates against a min over upper-bound candidates; the conjunction
+consumes the final clamped bounds of its subqueries, each evaluated once
+per call and cached on its canonical key, so `stats_evaluated` is the
+number of distinct subqueries.
 
 Every candidate is a sum of table cells with integer coefficients, so the
 evaluator computes each one exactly, as a numerator over the dataset's
@@ -22,36 +22,43 @@ division rounds correctly. Every candidate is a valid bound, and
 consistent data admit a model, so no node's lower end exceeds its upper
 end.
 
-Traces record every candidate value before clamping, as its numerator over
-den (lower-bound branches go negative routinely), which branch won, and the
-child subquery traces. The candidate values live on the BoundTrace records
-only: to_json, and so `bound --trace`, prints the winning branches and the
-clamped ends as probabilities. Conditional queries trace the joint event;
-the result interval is the joint interval divided by the evidence
-probability.
+Traces record every lower candidate's value before clamping, as its
+numerator over den (lower-bound branches go negative routinely), which
+branches won, and the child subquery traces. The candidate values live on
+the BoundTrace records only: to_json, and so `bound --trace`, prints the
+winning branches and the clamped ends as probabilities. Conditional queries
+trace the joint event; the result interval is the joint interval divided by
+the evidence probability.
 
-T3 and T4 are tight. Write D = P(y_i_x_j) - P(x_j, y_i) >= 0 and e for
-the evidence cell, P(x_p) or P(x_p, y_q), with p != j. The body gives
-[max(0, D + P(x_j) + e - 1), min(D, e)]. oracle._closed_form with one term
-meets only arm x_p, with cap_p = e and theta_p = P(x_p) - e >= 0. The
-term's own arm is outside it, so the max is min(cap_p, D). For the min,
-every arm but x_p has free capacity P(x_c) and x_p has theta_p, so the
-one-term cut gives F* = min(D, 1 - P(x_p) - P(x_j) + theta_p) and the min
-is D - F* = max(0, D + P(x_j) + e - 1). Both ends lie in [0, 1], as
-P(x_j) + e <= 1, so the clamp keeps them, and bound and tight_bounds
-divide the same ints by the same divisor: the intervals are equal bit for
-bit, conditional queries included.
+T1-T4 are tight. Take the term y_i_x_j with evidence e, P(y_q), P(x_p) or
+P(x_p, y_q), p != j, and write D = P(y_i_x_j) - P(x_j, y_i) >= 0. Split e
+on X = x_j: e_j = P(x_j, y_q) when only y_q is observed, else 0, and
+e_out = e - e_j. Inside arm x_j the event is observed: it has mass
+a = e_j if q = i (T1), else 0. Outside it is Frechet, so the body gives
+[a + max(0, D + e_out - 1 + P(x_j)), a + min(D, e_out)]. In
+oracle._closed_form with one term, the arms A the event meets are x_p, or
+every arm when only y_q is observed, less x_j when q != i (T2). Each arm
+c != j of A has cap_c = P(x_c, y_q) or P(x_c), summing to e_out, and
+theta_c = P(x_c) - cap_c >= 0. Arm x_j is in A only in T1, with
+cap_j = e_j = a and theta_j = -a. The max is min(sum_A cap_c, D + cap_j)
+if x_j is in A, else min(sum_A cap_c, D): a + min(e_out, D) either way.
+For the min, only theta_j can be negative, so the cost constants sum to
+a, and arm c != j frees min(theta_c, P(x_c)) = theta_c in A and P(x_c)
+outside it, so the one-term cut gives F* = min(D, 1 - P(x_j) - e_out) and
+the min is a + D - F* = a + max(0, D + e_out - 1 + P(x_j)). Both ends lie
+in [0, a + e_out] and a + e_out <= e <= 1, so the clamp keeps them, and
+bound and tight_bounds divide the same ints by the same divisor: the
+intervals are equal bit for bit, conditional queries included.
 
 Pair dominance. A conjunction's upper candidates are each term's pair
 (t, evidence), the node of t alone with the same evidence, and decomp.
 No canonical term shares the evidence treatment, so the pair is T1-T4,
-and its hi is at most P(t) and at most P(evidence): T3/T4's candidates are
-D <= P(t) and e itself, T1's are P(t) and P(y_q), T2's are
-P(t) - P(x_j, y_i) and P(y_q) - P(x_j, y_q). The clamp to [0, den] is
-monotone and keeps P(t) and P(evidence), so neither, as a candidate beside
-pair(t), could be a strict minimum, and T6-T8 leave them out. With no
-evidence (T5) the pair is the term itself: its candidate is P(t) and no
-node is evaluated.
+and its hi is at most a + D <= P(t) and at most a + e_out <= e, since
+a <= P(x_j, y_i) and a <= e_j. The clamp to [0, den] is monotone and
+keeps P(t) and P(evidence), so neither, as a candidate beside pair(t),
+could be a strict minimum, and T6-T8 leave them out. With no evidence
+(T5) the pair is the term itself: its candidate is P(t) and no node is
+evaluated.
 
 Leave-one-out pruning. For each term t of a k-term node, T5-T8 could also
 bound the event through the (k-1)-term plain subquery `rest` that leaves t
@@ -114,9 +121,9 @@ class ZeroEvidenceProbability(ValueError):
 class BoundTrace(NamedTuple):
     """One derivation node: which theorem ran and which branches won.
 
-    Candidate lists keep the raw branch values before clamping, negative
-    lower-bound candidates included, as exact numerators over the dataset's
-    den; lo and hi are the clamped ends divided by den. to_json leaves the
+    lower_candidates keeps the raw lower-bound values before clamping,
+    negative ones included, as exact numerators over the dataset's den; lo
+    and hi are the clamped ends divided by den. to_json leaves the
     candidates out: it gives the winning branches, the ends and the children.
     """
 
@@ -127,7 +134,6 @@ class BoundTrace(NamedTuple):
     lo: float
     hi: float
     lower_candidates: tuple[tuple[str, int], ...]
-    upper_candidates: tuple[tuple[str, int], ...]
     children: tuple["BoundTrace", ...]
 
     def to_json(self) -> dict:
@@ -163,18 +169,11 @@ class _Evaluator:
         return hit
 
     def _dispatch(self, terms, ex, ey):
-        if not terms:
-            return self._point(terms, ex, ey, self.ds.evidence(ex, ey))
         if len(terms) > 1:
             return self._conjunction(terms, ex, ey)
-        term = terms[0]
-        if ex is not None:
-            return self._x_evidence(term, ex, ey)
-        if ey is None:
-            return self._point(terms, ex, ey, self.ds.do[term.treatment - 1][term.outcome - 1])
-        if ey == term.outcome:
-            return self._t1(term)
-        return self._t2(term, ey)
+        if terms and (ex is not None or ey is not None):
+            return self._single(terms[0], ex, ey)
+        return self._point(terms, ex, ey)
 
     def _node(self, terms, ex, ey, theorem, lower, upper, children):
         lo_label, lo = max(lower, key=lambda cand: cand[1])
@@ -189,66 +188,51 @@ class _Evaluator:
             lo=lo / den,
             hi=hi / den,
             lower_candidates=tuple(lower),
-            upper_candidates=tuple(upper),
             children=tuple(children),
         )
         return (lo, hi), trace
 
     # -- single-term forms ------------------------------------------------
 
-    def _point(self, terms, ex, ey, value):
+    def _point(self, terms, ex, ey):
+        # A bare term is its experimental cell, evidence alone its observed one.
+        if terms:
+            value = self.ds.do[terms[0].treatment - 1][terms[0].outcome - 1]
+        else:
+            value = self.ds.evidence(ex, ey)
         label = subquery_label(terms, ex, ey)
         return self._node(terms, ex, ey, "Exact", [(label, value)], [(label, value)], ())
 
-    def _t1(self, t):
-        # P(y_i under x_j, joint with observed Y = y_i)
-        ds, j, i = self.ds, t.treatment, t.outcome
-        do, joint, py = ds.do[j - 1][i - 1], ds.joint[j - 1][i - 1], ds.py[i - 1]
-        lower = [
-            (f"P(x{j}, y{i})", joint),
-            (f"P(y{i}_x{j})+P(y{i})-1", do + py - ds.den),
-        ]
-        upper = [
-            (f"P(y{i}_x{j})", do),
-            (f"P(y{i})", py),
-        ]
-        return self._node((t,), None, i, "T1", lower, upper, ())
+    def _single(self, t, ex, ey):
+        """T1-T4: term y_i_x_j jointly with observed y_q (T1 if q = i, else
+        T2), x_p (T3) or both (T4), p != j.
 
-    def _t2(self, t, q):
-        # P(y_i under x_j, joint with observed Y = y_q), q != i
+        The event has mass a inside arm x_j and meets the evidence e_out
+        outside it by Frechet: a + [max(0, D + e_out - 1 + P(x_j)),
+        min(D, e_out)], with D = P(y_i_x_j) - P(x_j, y_i). The module
+        docstring proves this tight.
+        """
         ds, j, i = self.ds, t.treatment, t.outcome
-        do, joint = ds.do[j - 1][i - 1], ds.joint[j - 1][i - 1]
-        base = do - ds.den + ds.px[j - 1] - joint
-        # Per-p clamp sits inside the sum, as the formula is printed.
-        dual = sum(max(0, base + row[q - 1]) for p, row in enumerate(ds.joint, start=1) if p != j)
+        d = ds.do[j - 1][i - 1] - ds.joint[j - 1][i - 1]
+        e_out, out = ds.evidence(ex, ey), subquery_label((), ex, ey)
+        a, a_label, d_label = 0, "0", f"P(y{i}_x{j})-P(x{j}, y{i})"
+        if ex is not None:
+            theorem = "T3" if ey is None else "T4"
+        else:
+            # Only y_q is observed, and P(x_j, y_q) of it lies in arm x_j.
+            e_j = ds.joint[j - 1][ey - 1]
+            e_out -= e_j
+            if ey == i:
+                # The event holds on all of e_j = P(x_j, y_i), so a + D = P(y_i_x_j).
+                theorem, a, a_label, d_label = "T1", e_j, f"P(x{j}, y{i})", f"P(y{i}_x{j})"
+            else:
+                theorem, out = "T2", f"{out}-P(x{j}, y{ey})"
         lower = [
-            ("0", 0),
-            (f"P(y{i}_x{j})+P(y{q})-1", do + ds.py[q - 1] - ds.den),
-            ("sum_p", dual),
+            (a_label, a),
+            (f"P(y{i}_x{j})+{out}-1+P(x{j})-P(x{j}, y{i})", a + d + e_out - ds.den + ds.px[j - 1]),
         ]
-        upper = [
-            (f"P(y{i}_x{j})-P(x{j}, y{i})", do - joint),
-            (f"P(y{q})-P(x{j}, y{q})", ds.py[q - 1] - ds.joint[j - 1][q - 1]),
-        ]
-        return self._node((t,), None, q, "T2", lower, upper, ())
-
-    def _x_evidence(self, t, p, q):
-        # P(y_i under x_j, joint with observed X = x_p (T3), and Y = y_q (T4)), p != j
-        ds, j, i = self.ds, t.treatment, t.outcome
-        slack = ds.do[j - 1][i - 1] - ds.joint[j - 1][i - 1]
-        evidence, ev_label = ds.evidence(p, q), subquery_label((), p, q)
-        lower = [
-            ("0", 0),
-            (
-                f"P(y{i}_x{j})+{ev_label}-1+P(x{j})-P(x{j}, y{i})",
-                slack + evidence - ds.den + ds.px[j - 1],
-            ),
-        ]
-        upper = [
-            (f"P(y{i}_x{j})-P(x{j}, y{i})", slack),
-            (ev_label, evidence),
-        ]
-        return self._node((t,), p, q, "T3" if q is None else "T4", lower, upper, ())
+        upper = [(d_label, a + d), (out, a + e_out)]
+        return self._node((t,), ex, ey, theorem, lower, upper, ())
 
     # -- multi-term forms --------------------------------------------------
 
@@ -346,9 +330,7 @@ def _divisor(dataset: Dataset, cq: CanonicalQuery) -> int:
 
 
 # The trace of every ZERO query: its one candidate, 0, is both ends.
-_ZERO_TRACE = BoundTrace(
-    "P(impossible event)", "Zero", "0", "0", 0.0, 0.0, (("0", 0),), (("0", 0),), ()
-)
+_ZERO_TRACE = BoundTrace("P(impossible event)", "Zero", "0", "0", 0.0, 0.0, (("0", 0),), ())
 
 
 def bound(dataset: Dataset, query: Query | str) -> BoundResult:

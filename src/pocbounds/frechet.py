@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-# Slack for comparing float ends (contains, contains_interval) and the
-# engine's zero-evidence rule: evidence below this probability is refused.
+# Slack for Interval.contains, which tests a float drawn apart from the data,
+# and the engine's zero-evidence rule: evidence below this probability is
+# refused. Engine and oracle ends need none: both round one exact rational.
 EPS_NUM = 1e-9
 
 
@@ -34,6 +35,3 @@ class Interval(NamedTuple):
 
     def contains(self, value: float) -> bool:
         return self.lo - EPS_NUM <= value <= self.hi + EPS_NUM
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo - EPS_NUM <= other.lo and other.hi <= self.hi + EPS_NUM

@@ -132,20 +132,17 @@ class TestSingleTermForms:
         assert result.stats_evaluated == 1
 
     def test_same_outcome_evidence(self, treatment):
-        # term outcome equals observed outcome
-        iv = bound(treatment, "P(y3_x1, y3)").interval
-        lo = Fraction(213, 300) + Fraction(336, 900) - 1
-        assert iv.lo == pytest.approx(float(lo), abs=1e-12)
-        assert iv.hi == pytest.approx(336 / 900, abs=1e-12)
-        assert bound(treatment, "P(y3_x1, y3)").trace.theorem == "T1"
+        # T1: the event holds on all of P(x1, y3) = 7/900 and meets the rest
+        # of P(y3) by Frechet, with D = P(y3_x1) - P(x1, y3) = 632/900
+        result = bound(treatment, "P(y3_x1, y3)")
+        assert result.interval == (float(Fraction(333, 900)), float(Fraction(336, 900)))
+        assert result.trace.theorem == "T1"
 
     def test_other_outcome_evidence(self, treatment):
-        iv = bound(treatment, "P(y3_x1, y1)").interval
-        base = Fraction(213, 300) - 1 + Fraction(265, 900) - Fraction(7, 900)
-        dual = sum(max(Fraction(0), base + Fraction(c, 900)) for c in (10, 147))
-        assert iv.lo == pytest.approx(float(dual), abs=1e-12)
-        assert iv.hi == pytest.approx(157 / 900, abs=1e-12)
-        assert bound(treatment, "P(y3_x1, y1)").trace.theorem == "T2"
+        # T2: the event misses P(x1, y1) and meets the other 157/900 of P(y1)
+        result = bound(treatment, "P(y3_x1, y1)")
+        assert result.interval == (float(Fraction(154, 900)), float(Fraction(157, 900)))
+        assert result.trace.theorem == "T2"
 
     def test_treatment_evidence(self, treatment):
         iv = bound(treatment, "P(y3_x1, x2)").interval

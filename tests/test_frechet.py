@@ -17,13 +17,6 @@ class TestInterval:
         assert not iv.contains(0.19)
         assert not iv.contains(0.51)
 
-    def test_contains_interval(self):
-        outer = Interval(0.1, 0.9)
-        assert outer.contains_interval(Interval(0.1, 0.9))
-        assert outer.contains_interval(Interval(0.2, 0.8))
-        assert not outer.contains_interval(Interval(0.0, 0.5))
-        assert not outer.contains_interval(Interval(0.5, 0.95))
-
     def test_iter_unpacks(self):
         lo, hi = Interval(0.25, 0.75)
         assert (lo, hi) == (0.25, 0.75)

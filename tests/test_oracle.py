@@ -36,7 +36,7 @@ class TestTightBounds:
     def test_engine_upper_is_tight_here(self, treatment):
         lp = tight_bounds(treatment, "P(y3_x1, y1_x2, y2_x3)")
         eng = bound(treatment, "P(y3_x1, y1_x2, y2_x3)").interval
-        assert eng.contains_interval(lp)
+        assert eng.lo <= lp.lo and lp.hi <= eng.hi
         assert eng.hi == pytest.approx(lp.hi, abs=1e-12)
         assert eng.lo < lp.lo - 0.05  # the closed-form lower bound is loose here
 
@@ -115,7 +115,7 @@ class TestLargeSpaces:
             assert len(cq.terms) == 4
             lp = tight_bounds(ds, text)
             eng = bound(ds, text).interval
-            assert eng.contains_interval(lp), f"engine {eng} does not contain LP {lp} for {text}"
+            assert eng.lo <= lp.lo and lp.hi <= eng.hi, f"engine {eng} does not contain LP {lp} for {text}"
             # the masses are a model of the data, so their value is attainable
             coeffs = _objective(ds, types, cq.terms, cq.evidence_x, cq.evidence_y)
             witness = Fraction(sum(w for w, v in zip(flat, coeffs) if v), sum(flat))
@@ -169,19 +169,16 @@ class TestOracleValidatesEngine:
             q = random_query(rng, m, n)
             eng = bound(ds, q).interval
             lp = tight_bounds(ds, q)
-            assert eng.contains_interval(lp), (
+            assert eng.lo <= lp.lo and lp.hi <= eng.hi, (
                 f"engine {eng} does not contain LP {lp} for {q}"
             )
 
     def test_single_term_joint_evidence_is_tight(self):
-        # the one closed form that matches the LP exactly
+        # every single-term form with evidence matches the LP bit for bit
         rng = random.Random(4242)
         for _ in range(25):
             m, n = rng.choice([(2, 2), (2, 3), (3, 2)])
             ds = random_model(rng, m, n)
             q = random_query(rng, m, n, kmax=1, variant="xy")
-            eng = bound(ds, q).interval
-            lp = tight_bounds(ds, q)
-            assert eng.lo == pytest.approx(lp.lo, abs=1e-9)
-            assert eng.hi == pytest.approx(lp.hi, abs=1e-9)
+            assert bound(ds, q).interval == tight_bounds(ds, q)
 

@@ -1,5 +1,6 @@
 """The scripts that draw random models from `pocbounds.simgen` run end to end."""
 
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,21 @@ def test_validate_against_oracle_refuses_no_cases(cases):
     assert out.returncode == 2
     assert out.stdout == ""
     assert "argument --cases: invalid positive integer" in out.stderr
+
+
+def test_engine_corpus_check_lists_every_difference(tmp_path):
+    doc = json.loads((ROOT / "tests" / "data" / "engine_corpus.json").read_text())
+    doc["queries"] = [e for e in doc["queries"] if "lo" in e][:12]
+    altered = [doc["queries"][2], doc["queries"][9]]
+    altered[0]["lo"] = altered[1]["hi"] = (-1.0).hex()
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(doc))
+    out = _run("engine_corpus.py", "--check", "--corpus", str(corpus))
+    assert out.returncode == 1, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2
+    for line, entry in zip(lines, altered):
+        assert line.startswith(f"table {entry['table']}, {entry['query']}: expected ")
 
 
 def test_oracle_timings():
