@@ -10,6 +10,9 @@ instead.
     python3 scripts/engine_corpus.py --check   # diff the engine against it
 
 --check prints each query whose answer differs, one per line, and exits 1.
+It also runs every query untraced, `bound(..., trace=False)`, and prints a
+line for each query where that call's interval, error or stats_evaluated
+differs from the traced call's, so the corpus guards both paths.
 
 Tables come from random integer response-type masses, so every table is
 consistent by construction. Half of them are skewed: a few types carry most
@@ -83,6 +86,30 @@ def query_text(rng: random.Random, m: int, n: int, form: str) -> str:
     return f"P({', '.join(events + evidence)})"
 
 
+def run(dataset, text: str, trace: bool = True):
+    """bound's result, or the ValueError it raised."""
+    try:
+        return bound(dataset, text, trace=trace)
+    except ValueError as exc:
+        return exc
+
+
+def stored(result) -> dict:
+    """A result as the corpus stores it: hex-float ends, or the error's class name."""
+    if isinstance(result, ValueError):
+        return {"error": type(result).__name__}
+    lo, hi = result.interval
+    return {"lo": lo.hex(), "hi": hi.hex()}
+
+
+def compared(result) -> dict:
+    """What the traced and the untraced call must agree on."""
+    got = stored(result)
+    if not isinstance(result, ValueError):
+        got["stats_evaluated"] = result.stats_evaluated
+    return got
+
+
 def answer(dataset, text: str) -> tuple[dict, bool]:
     """The engine's answer as stored in the corpus, and whether a
     leave-one-out lower candidate strictly beats all others at the root.
@@ -91,15 +118,13 @@ def answer(dataset, text: str) -> tuple[dict, bool]:
     so those queries keep the corpus from passing a pruning that drops them
     outright.
     """
-    try:
-        result = bound(dataset, text)
-    except ValueError as exc:
-        return {"error": type(exc).__name__}, False
-    lo, hi = result.interval
+    result = run(dataset, text)
+    if isinstance(result, ValueError):
+        return stored(result), False
     cands = result.trace.lower_candidates
     loo = [v for name, v in cands if name.startswith("loo")]
     others = [v for name, v in cands if not name.startswith("loo")]
-    return {"lo": lo.hex(), "hi": hi.hex()}, bool(loo) and max(loo) > max(others)
+    return stored(result), bool(loo) and max(loo) > max(others)
 
 
 def generate() -> dict:
@@ -137,15 +162,22 @@ def load(path: Path = DEFAULT_CORPUS) -> dict:
 
 
 def check(path: Path = DEFAULT_CORPUS) -> list[str]:
-    """Re-run every corpus query and describe each answer that differs."""
+    """Re-run every corpus query, traced and untraced, and describe each
+    answer that differs from the corpus and each untraced call that differs
+    from the traced one."""
     doc = load(path)
     datasets = [dataset_from_counts(t["exp"], t["obs"]) for t in doc["tables"]]
     mismatches = []
     for entry in doc["queries"]:
+        where = f"table {entry['table']}, {entry['query']}"
         want = {key: entry[key] for key in ("lo", "hi", "error") if key in entry}
-        got, _ = answer(datasets[entry["table"]], entry["query"])
+        dataset, text = datasets[entry["table"]], entry["query"]
+        traced, untraced = run(dataset, text), run(dataset, text, trace=False)
+        got = stored(traced)
         if got != want:
-            mismatches.append(f"table {entry['table']}, {entry['query']}: expected {want}, got {got}")
+            mismatches.append(f"{where}: expected {want}, got {got}")
+        if compared(untraced) != compared(traced):
+            mismatches.append(f"{where}: traced {compared(traced)}, untraced {compared(untraced)}")
     return mismatches
 
 
@@ -153,7 +185,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true", help="generate the corpus")
-    mode.add_argument("--check", action="store_true", help="diff the engine against the corpus")
+    mode.add_argument(
+        "--check", action="store_true", help="diff the engine, traced and untraced, against the corpus"
+    )
     ap.add_argument("--corpus", type=Path, default=DEFAULT_CORPUS)
     ns = ap.parse_args()
 

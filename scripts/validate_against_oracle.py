@@ -55,7 +55,7 @@ def main() -> int:
         variant = VARIANTS[(idx // len(SIZES)) % len(VARIANTS)]
         ds = random_model(rng, m, n)
         q = random_query(rng, m, n, variant=variant)
-        eng = bound(ds, q).interval
+        eng = bound(ds, q, trace=False).interval
         lp = tight_bounds(ds, q)
 
         slack = min(lp.lo - eng.lo, eng.hi - lp.hi)

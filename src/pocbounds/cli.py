@@ -114,7 +114,7 @@ def _cmd_validate(args) -> int:
 def _cmd_bound(args) -> int:
     dataset = load_dataset(args.data)
     query = parse_query(args.query, dataset.space)
-    result = engine.bound(dataset, query)
+    result = engine.bound(dataset, query, trace=args.trace)
     print(_fmt(result.interval))
     if args.trace:
         print(json.dumps(result.trace.to_json(), indent=2))
@@ -152,7 +152,7 @@ def _cmd_simulate(args) -> int:
 def _check_rows(dataset: Dataset, rows) -> tuple[list[str], bool]:
     lines, ok = [], True
     for text, elo, ehi in rows:
-        result = engine.bound(dataset, parse_query(text, dataset.space))
+        result = engine.bound(dataset, parse_query(text, dataset.space), trace=False)
         alo, ahi = f"{result.interval.lo:.3f}", f"{result.interval.hi:.3f}"
         match = (alo, ahi) == (elo, ehi)
         ok &= match

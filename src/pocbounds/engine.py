@@ -149,19 +149,28 @@ class BoundTrace(NamedTuple):
 
 
 class BoundResult(NamedTuple):
+    """The interval, its derivation trace (None unless bound was asked for
+    one) and the number of distinct subqueries evaluated."""
+
     interval: Interval
-    trace: BoundTrace
+    trace: BoundTrace | None
     stats_evaluated: int
 
 
 class _Evaluator:
-    """Joint-event recursion over (terms, evidence_x, evidence_y) keys."""
+    """Joint-event recursion over (terms, evidence_x, evidence_y) keys.
 
-    def __init__(self, dataset: Dataset):
+    Each body computes its integer candidates once. Labels, BoundTrace
+    records and children are built only when `trace` is true; otherwise
+    every node's trace is None.
+    """
+
+    def __init__(self, dataset: Dataset, trace: bool):
         self.ds = dataset
+        self.trace = trace
         self.memo: dict = {}
 
-    def eval(self, terms, ex, ey) -> tuple[tuple[int, int], BoundTrace]:
+    def eval(self, terms, ex, ey) -> tuple[tuple[int, int], BoundTrace | None]:
         key = (terms, ex, ey)
         hit = self.memo.get(key)
         if hit is None:
@@ -175,19 +184,27 @@ class _Evaluator:
             return self._single(terms[0], ex, ey)
         return self._point(terms, ex, ey)
 
-    def _node(self, terms, ex, ey, theorem, lower, upper, children):
-        lo_label, lo = max(lower, key=lambda cand: cand[1])
-        hi_label, hi = min(upper, key=lambda cand: cand[1])
+    def _ends(self, lower, upper):
+        """max(lower) and min(upper), each clamped to [0, den]."""
         den = self.ds.den
-        lo, hi = min(den, max(0, lo)), min(den, max(0, hi))
+        return min(den, max(0, max(lower))), min(den, max(0, min(upper)))
+
+    def _node(self, query, theorem, lower, lo_labels, upper, hi_labels, children):
+        """_ends with its trace; the labels name `lower` and `upper` in order.
+
+        The winning branch is the first candidate with the winning value.
+        """
+        lo_raw, hi_raw = max(lower), min(upper)
+        den = self.ds.den
+        lo, hi = min(den, max(0, lo_raw)), min(den, max(0, hi_raw))
         trace = BoundTrace(
-            query=subquery_label(terms, ex, ey),
+            query=query,
             theorem=theorem,
-            lower_branch=lo_label,
-            upper_branch=hi_label,
+            lower_branch=lo_labels[lower.index(lo_raw)],
+            upper_branch=hi_labels[upper.index(hi_raw)],
             lo=lo / den,
             hi=hi / den,
-            lower_candidates=tuple(lower),
+            lower_candidates=tuple(zip(lo_labels, lower)),
             children=tuple(children),
         )
         return (lo, hi), trace
@@ -200,8 +217,10 @@ class _Evaluator:
             value = self.ds.do[terms[0].treatment - 1][terms[0].outcome - 1]
         else:
             value = self.ds.evidence(ex, ey)
+        if not self.trace:
+            return self._ends((value,), (value,)), None
         label = subquery_label(terms, ex, ey)
-        return self._node(terms, ex, ey, "Exact", [(label, value)], [(label, value)], ())
+        return self._node(label, "Exact", [value], [label], [value], [label], ())
 
     def _single(self, t, ex, ey):
         """T1-T4: term y_i_x_j jointly with observed y_q (T1 if q = i, else
@@ -214,25 +233,28 @@ class _Evaluator:
         """
         ds, j, i = self.ds, t.treatment, t.outcome
         d = ds.do[j - 1][i - 1] - ds.joint[j - 1][i - 1]
-        e_out, out = ds.evidence(ex, ey), subquery_label((), ex, ey)
-        a, a_label, d_label = 0, "0", f"P(y{i}_x{j})-P(x{j}, y{i})"
-        if ex is not None:
-            theorem = "T3" if ey is None else "T4"
-        else:
+        e_out, a = ds.evidence(ex, ey), 0
+        if ex is None:
             # Only y_q is observed, and P(x_j, y_q) of it lies in arm x_j.
             e_j = ds.joint[j - 1][ey - 1]
             e_out -= e_j
             if ey == i:
                 # The event holds on all of e_j = P(x_j, y_i), so a + D = P(y_i_x_j).
-                theorem, a, a_label, d_label = "T1", e_j, f"P(x{j}, y{i})", f"P(y{i}_x{j})"
-            else:
-                theorem, out = "T2", f"{out}-P(x{j}, y{ey})"
-        lower = [
-            (a_label, a),
-            (f"P(y{i}_x{j})+{out}-1+P(x{j})-P(x{j}, y{i})", a + d + e_out - ds.den + ds.px[j - 1]),
-        ]
-        upper = [(d_label, a + d), (out, a + e_out)]
-        return self._node((t,), ex, ey, theorem, lower, upper, ())
+                a = e_j
+        lower = [a, a + d + e_out - ds.den + ds.px[j - 1]]
+        upper = [a + d, a + e_out]
+        if not self.trace:
+            return self._ends(lower, upper), None
+        out, a_label, d_label = subquery_label((), ex, ey), "0", f"P(y{i}_x{j})-P(x{j}, y{i})"
+        if ex is not None:
+            theorem = "T3" if ey is None else "T4"
+        elif ey == i:
+            theorem, a_label, d_label = "T1", f"P(x{j}, y{i})", f"P(y{i}_x{j})"
+        else:
+            theorem, out = "T2", f"{out}-P(x{j}, y{ey})"
+        lo_labels = [a_label, f"P(y{i}_x{j})+{out}-1+P(x{j})-P(x{j}, y{i})"]
+        query = subquery_label((t,), ex, ey)
+        return self._node(query, theorem, lower, lo_labels, upper, [d_label, out], ())
 
     # -- multi-term forms --------------------------------------------------
 
@@ -242,39 +264,55 @@ class _Evaluator:
 
     def _conjunction(self, terms, ex, ey):
         """T5-T8: k terms, jointly with no evidence, observed x_p, y_q, or both."""
-        ds = self.ds
+        ds, trace = self.ds, self.trace
         pes = [ds.do[t.treatment - 1][t.outcome - 1] for t in terms]
-        children = []
+        children = [] if trace else None
         if ex is None and ey is None:
-            # Each term's pair is the term itself: no node to evaluate.
-            theorem, p_ev, partners = "T5", ds.den, pes
-            upper = [(f"P({self._term_label(t)})", pe) for t, pe in zip(terms, pes)]
+            # Each term's pair is the term itself: no node to evaluate. upper
+            # is a copy, since it gains the decomp candidate.
+            theorem, p_ev, partners, upper = "T5", ds.den, pes, list(pes)
         else:
             theorem = "T6" if ey is None else "T7" if ex is None else "T8"
             p_ev, partners, upper = ds.evidence(ex, ey), [], []
             for t in terms:
                 (pair_lo, pair_hi), pair_tr = self.eval((t,), ex, ey)
-                children.append(pair_tr)
+                if trace:
+                    children.append(pair_tr)
                 partners.append(pair_lo)
-                upper.append((f"pair({self._term_label(t)})", pair_hi))
+                upper.append(pair_hi)
         frechet = sum(pes) + p_ev - len(terms) * ds.den
-        lower = [("0", 0), ("frechet", frechet)]
+        lower = [0, frechet]
         best = max(0, frechet)
-        dec_lower = []
+        dec = ()
         if ex is None:
             dec_lo, dec_hi = self._decomp(terms, ey, children)
             best = max(best, dec_lo)
-            dec_lower = [("decomp", dec_lo)]
-            upper.append(("decomp", dec_hi))
-        lower += self._loo_lower(terms, pes, partners, best, children) + dec_lower
-        return self._node(terms, ex, ey, theorem, lower, upper, children)
+            upper.append(dec_hi)
+            dec = (dec_lo,)
+        loo = self._loo_lower(terms, pes, partners, best, children)
+        lower += [value for _, value in loo]
+        lower += dec
+        if not trace:
+            return self._ends(lower, upper), None
+        labels = [self._term_label(t) for t in terms]
+        if theorem == "T5":
+            hi_labels = [f"P({label})" for label in labels]
+        else:
+            hi_labels = [f"pair({label})" for label in labels]
+        lo_labels = ["0", "frechet"] + [f"loo({labels[idx]})" for idx, _ in loo]
+        if dec:
+            hi_labels.append("decomp")
+            lo_labels.append("decomp")
+        query = subquery_label(terms, ex, ey)
+        return self._node(query, theorem, lower, lo_labels, upper, hi_labels, children)
 
     def _decomp(self, terms, q, children):
         """Law of total probability over X, with observed outcome y_q or none.
 
         Each summand pins one treatment arm, and restrict_to_arm gives its
         event: a term on that arm collapses into evidence, and a summand whose
-        event is impossible adds 0.
+        event is impossible adds 0. When tracing, child traces go to
+        `children`.
         """
         dec_lo = dec_hi = 0
         for p in range(1, self.ds.space.m + 1):
@@ -282,30 +320,33 @@ class _Evaluator:
             if arm is None:
                 continue
             (sub_lo, sub_hi), sub_tr = self.eval(arm[0], p, arm[1])
-            children.append(sub_tr)
+            if self.trace:
+                children.append(sub_tr)
             dec_lo += sub_lo
             dec_hi += sub_hi
         return dec_lo, dec_hi
 
     def _loo_lower(self, terms, pes, partners, best, children):
-        """Leave-one-out lower candidates lo(rest) + partner - 1 that can win.
+        """Leave-one-out lower candidates lo(rest) + partner - 1 that can win,
+        as (index of the term left out, value) pairs.
 
         `partners[idx]` pairs with the terms other than terms[idx]: the lo of
         its pair node, which is P(term) in T5. Since lo(rest) <= min P over
         rest, the same sum taken with that minimum caps the candidate, and
         rest is evaluated only when the cap exceeds `best`, the largest lower
-        value so far.
+        value so far. When tracing, child traces go to `children`.
         """
         den = self.ds.den
         cands = []
-        for idx, (t, partner) in enumerate(zip(terms, partners)):
+        for idx, partner in enumerate(partners):
             cap = min(pes[:idx] + pes[idx + 1 :])
             if cap + partner - den <= best:
                 continue
             (sub_lo, _), sub_tr = self.eval(terms[:idx] + terms[idx + 1 :], None, None)
-            children.append(sub_tr)
+            if self.trace:
+                children.append(sub_tr)
             value = sub_lo + partner - den
-            cands.append((f"loo({self._term_label(t)})", value))
+            cands.append((idx, value))
             best = max(best, value)
         return cands
 
@@ -333,7 +374,7 @@ def _divisor(dataset: Dataset, cq: CanonicalQuery) -> int:
 _ZERO_TRACE = BoundTrace("P(impossible event)", "Zero", "0", "0", 0.0, 0.0, (("0", 0),), ())
 
 
-def bound(dataset: Dataset, query: Query | str) -> BoundResult:
+def bound(dataset: Dataset, query: Query | str, *, trace: bool = True) -> BoundResult:
     """Bound a probability of causation on a dataset.
 
     Accepts a query object or query text. Data that fail validation raise
@@ -342,6 +383,9 @@ def bound(dataset: Dataset, query: Query | str) -> BoundResult:
     interval; everything else runs the theorem recursion. Conditional queries
     divide the joint interval by the evidence probability and raise
     ZeroEvidenceProbability when that probability is below EPS_NUM.
+
+    With trace=False no derivation is built and the result's trace is None;
+    the interval and stats_evaluated are the same as with the trace.
     """
     if isinstance(query, str):
         query = parse_query(query, dataset.space)
@@ -357,7 +401,7 @@ def bound(dataset: Dataset, query: Query | str) -> BoundResult:
         )
     divisor = _divisor(dataset, cq)
     if cq.kind == ZERO:
-        return BoundResult(Interval(0.0, 0.0), _ZERO_TRACE, 1)
-    evaluator = _Evaluator(dataset)
-    (lo, hi), trace = evaluator.eval(cq.terms, cq.evidence_x, cq.evidence_y)
-    return BoundResult(Interval(lo / divisor, hi / divisor), trace, len(evaluator.memo))
+        return BoundResult(Interval(0.0, 0.0), _ZERO_TRACE if trace else None, 1)
+    evaluator = _Evaluator(dataset, trace)
+    (lo, hi), root = evaluator.eval(cq.terms, cq.evidence_x, cq.evidence_y)
+    return BoundResult(Interval(lo / divisor, hi / divisor), root, len(evaluator.memo))

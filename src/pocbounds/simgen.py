@@ -179,7 +179,7 @@ def run_simulation(num_samples: int, seed: int = 0) -> SimulationSummary:
     for idx in range(num_samples):
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
         f, dataset = generate_sample(rng)
-        interval = bound(dataset, QUERY).interval
+        interval = bound(dataset, QUERY, trace=False).interval
         records.append(
             SimulationRecord(
                 fractions=f,

@@ -1,5 +1,6 @@
 """Shared fixtures: the three worked-example tables, queries drawn in
-every evidence form, and `exact`, which reads a Dataset cell as a Fraction.
+every evidence form, sparse consistent count tables of any size, and
+`exact`, which reads a Dataset cell as a Fraction.
 Random models come from `pocbounds.simgen`.
 """
 
@@ -77,3 +78,25 @@ def draw_kind(rng, m, n, form, kind):
         if canonicalize(query).kind == kind:
             return query
     raise AssertionError(f"no {kind} query drawn in form {form}")
+
+
+def sparse_counts(rng: random.Random, m: int, n: int, zeros: float):
+    """Consistent (exp, obs) count tables with zero cells.
+
+    Each experimental row is its observational row plus the rest of the
+    grand total spread over a random subset of outcomes, so every row shares
+    the grand total as denominator, and the cells outside the subset have
+    P(y | do x) = P(x, y), i.e. D = 0. A whole observational row may be zero.
+    """
+    obs = [[0 if rng.random() < zeros else rng.randrange(1, 9) for _ in range(n)] for _ in range(m)]
+    if not any(map(any, obs)):
+        obs[0][0] = 1
+    total = sum(map(sum, obs))
+    exp = []
+    for row in obs:
+        support = rng.sample(range(n), rng.randrange(1, n + 1))
+        extra = [0] * n
+        for _ in range(total - sum(row)):
+            extra[rng.choice(support)] += 1
+        exp.append([o + e for o, e in zip(row, extra)])
+    return exp, obs

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pocbounds import engine
 from pocbounds.engine import (
     MAX_TERMS,
     BoundResult,
@@ -12,7 +13,7 @@ from pocbounds.engine import (
 )
 from pocbounds.model import Infeasible, dataset_from_counts, dataset_from_probs
 from pocbounds.queryir import CounterfactualTerm, Query, UnsupportedQuery
-from pocbounds.simgen import random_model
+from pocbounds.simgen import random_model, run_simulation
 
 from conftest import exact
 from tian_pearl_reference import NotBinary, tian_pearl
@@ -219,6 +220,20 @@ class TestEvaluatorControls:
         # The root, its 8 arms and their 7 pairs each; the full leave-one-out
         # recursion evaluates 2,287 nodes here.
         assert result.stats_evaluated == 65
+
+    def test_untraced_path_builds_no_explanation(self, treatment, monkeypatch):
+        query = "P(y3_x1, y1_x2, y2_x3)"
+        want = bound(treatment, query).interval
+        want_sim = [rec.interval for rec in run_simulation(5).records]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the untraced path built part of a trace")
+
+        monkeypatch.setattr(engine, "subquery_label", refuse)
+        monkeypatch.setattr(engine, "BoundTrace", refuse)
+        result = bound(treatment, query, trace=False)
+        assert (result.interval, result.trace) == (want, None)
+        assert [rec.interval for rec in run_simulation(5).records] == want_sim
 
     def test_accepts_query_objects_and_text(self, treatment):
         q = Query(terms=(CounterfactualTerm(1, 3), CounterfactualTerm(2, 1)))

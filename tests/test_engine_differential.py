@@ -7,6 +7,7 @@ interval by one ulp, or changes which queries raise, fails here.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "engine_corpus.py"
@@ -36,6 +37,27 @@ def test_corpus_covers_every_form_and_decisive_loo_branches():
 def test_engine_matches_corpus_bit_for_bit():
     mismatches = corpus.check()
     assert not mismatches, f"{len(mismatches)} differ; first: {mismatches[0]}"
+
+
+def test_check_lists_untraced_differences(monkeypatch, tmp_path):
+    # An untraced call whose node count drifts from the traced one is
+    # reported, one line per query, even when the interval still matches.
+    doc = corpus.load()
+    doc["queries"] = doc["queries"][:12]
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(doc))
+    real = corpus.bound
+
+    def drifting(dataset, text, *, trace=True):
+        result = real(dataset, text, trace=trace)
+        return result if trace else result._replace(stats_evaluated=result.stats_evaluated + 1)
+
+    monkeypatch.setattr(corpus, "bound", drifting)
+    lines = corpus.check(path)
+    answered = [e for e in doc["queries"] if "lo" in e]
+    assert answered and len(lines) == len(answered)
+    for line, entry in zip(lines, answered):
+        assert line.startswith(f"table {entry['table']}, {entry['query']}: traced ")
 
 
 def test_generator_rewrites_the_corpus_byte_for_byte():

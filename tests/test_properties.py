@@ -18,9 +18,9 @@ from pocbounds.queryir import (
     format_query,
     parse_query,
 )
-from pocbounds.simgen import counts_from_masses
+from pocbounds.simgen import counts_from_masses, random_model, random_query
 
-from conftest import FORMS, draw_kind
+from conftest import FORMS, draw_kind, draw_query, sparse_counts
 from lp_reference import reference_feasible
 
 import pytest
@@ -162,6 +162,72 @@ class TestEngineInvariants:
                 message = refusal(bound, q)
                 assert message == refusal(tight_bounds, q), q
                 assert (message is not None) == (not ds.validation.ok), q
+
+
+def _outcome(ds, query, trace):
+    """(lo, hi as hex floats, stats_evaluated) or the exception type, and the trace."""
+    try:
+        result = bound(ds, query, trace=trace)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome compared
+        return type(exc), None
+    return (result.interval.lo.hex(), result.interval.hi.hex(), result.stats_evaluated), result.trace
+
+
+def assert_untraced_matches(ds, query):
+    traced, traced_trace = _outcome(ds, query, True)
+    untraced, untraced_trace = _outcome(ds, query, False)
+    assert untraced == traced, query
+    assert untraced_trace is None, query
+    assert isinstance(traced, type) or traced_trace is not None, query
+
+
+class TestUntracedPath:
+    """bound(trace=False) builds no derivation and otherwise answers as the
+    traced call does: the same interval bit for bit, the same
+    stats_evaluated, the same exception type."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.sampled_from([(m, n) for m in range(2, 6) for n in (2, 3)]),
+        form=st.sampled_from(FORMS),
+        kind=st.sampled_from((STANDARD, ZERO, EXACT)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_answer_as_traced(self, size, form, kind, seed):
+        m, n = size
+        rng = random.Random(seed)
+        ds = random_model(rng, m, n)
+        if kind == EXACT and form in ("plain", "y"):
+            kind = STANDARD  # no evidence treatment to absorb a term
+        assert_untraced_matches(ds, draw_kind(rng, m, n, form, kind))
+        # Up to five terms on distinct treatments, in the same evidence form.
+        variant = rng.choice(["x", "y", "xy"]) if form == "conditional" else form
+        q = random_query(rng, m, n, kmax=5, variant=variant)
+        assert_untraced_matches(ds, q._replace(conditional=form == "conditional"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(ds=raw_tables(), seed=st.integers(0, 2**32 - 1))
+    def test_same_refusals_as_traced(self, ds, seed):
+        # Inconsistent tables, indices out of range and bad text fail alike.
+        m, n = ds.space.m, ds.space.n
+        rng = random.Random(seed)
+        for form in FORMS:
+            assert_untraced_matches(ds, draw_query(rng, m, n, form))
+        assert_untraced_matches(ds, Query(terms=(CounterfactualTerm(m + 1, 1),)))
+        assert_untraced_matches(ds, "P(y1_x1, y1_x2")
+        assert_untraced_matches(ds, f"P(y{n + 1}_x1 | x2)")
+
+    def test_wide_queries(self):
+        rng = random.Random("untraced 8x4")
+        for _ in range(4):
+            ds = dataset_from_counts(*sparse_counts(rng, 8, 4, zeros=0.3))
+            for form in FORMS:
+                js = sorted(rng.sample(range(1, 9), rng.randint(6, 8)))
+                terms = tuple(CounterfactualTerm(j, rng.randint(1, 4)) for j in js)
+                ex = rng.randint(1, 8) if form in ("x", "xy", "conditional") else None
+                ey = rng.randint(1, 4) if form in ("y", "xy", "conditional") else None
+                q = Query(terms, evidence_x=ex, evidence_y=ey, conditional=form == "conditional")
+                assert_untraced_matches(ds, q)
 
 
 class TestOracleInvariants:
