@@ -22,13 +22,18 @@ division rounds correctly. Every candidate is a valid bound, and
 consistent data admit a model, so no node's lower end exceeds its upper
 end.
 
-Traces record every lower candidate's value before clamping, as its
-numerator over den (lower-bound branches go negative routinely), which
-branches won, and the child subquery traces. The candidate values live on
-the BoundTrace records only: to_json, and so `bound --trace`, prints the
-winning branches and the clamped ends as probabilities. Conditional queries
-trace the joint event; the result interval is the joint interval divided by
-the evidence probability.
+Traces are built on request. bound's default, trace=True, gives a
+BoundTrace per node; with trace=False each body computes the same integer
+candidates and builds no label, BoundTrace or children, so the interval and
+stats_evaluated are the same and the result's trace is None. The program's
+callers that read only the interval (run_simulation, `reproduce`, `bound`
+without --trace) ask for none. A trace records every lower candidate's
+value before clamping, as its numerator over den (lower-bound branches go
+negative routinely), which branches won, and the child subquery traces.
+The candidate values live on the BoundTrace records only: to_json, and so
+`bound --trace`, prints the winning branches and the clamped ends as
+probabilities. Conditional queries trace the joint event; the result
+interval is the joint interval divided by the evidence probability.
 
 T1-T4 are tight. Take the term y_i_x_j with evidence e, P(y_q), P(x_p) or
 P(x_p, y_q), p != j, and write D = P(y_i_x_j) - P(x_j, y_i) >= 0. Split e

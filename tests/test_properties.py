@@ -168,7 +168,7 @@ def _outcome(ds, query, trace):
     """(lo, hi as hex floats, stats_evaluated) or the exception type, and the trace."""
     try:
         result = bound(ds, query, trace=trace)
-    except Exception as exc:  # noqa: BLE001 - the type is the outcome compared
+    except ValueError as exc:
         return type(exc), None
     return (result.interval.lo.hex(), result.interval.hi.hex(), result.stats_evaluated), result.trace
 
