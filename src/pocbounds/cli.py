@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -23,7 +22,6 @@ from .frechet import Interval
 from .model import DataError, Dataset, Infeasible, load_dataset
 from .queryir import IndexOutOfRange, QuerySyntaxError, UnsupportedQuery, parse_query
 
-FIXTURES_ENV = "POCBOUNDS_FIXTURES"
 DEFAULT_SEED = 0
 
 _EXAMPLES = ("treatment", "institute", "vaccine", "simulation")
@@ -86,9 +84,6 @@ _positive_int, _nonnegative_int = _int_at_least(1, "positive"), _int_at_least(0,
 
 
 def fixture_path(name: str) -> Path:
-    override = os.environ.get(FIXTURES_ENV)
-    if override:
-        return Path(override) / f"{name}.json"
     return Path(str(resources.files("pocbounds") / "fixtures" / f"{name}.json"))
 
 

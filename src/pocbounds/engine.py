@@ -189,19 +189,20 @@ class _Evaluator:
             return self._single(terms[0], ex, ey)
         return self._point(terms, ex, ey)
 
-    def _ends(self, lower, upper):
-        """max(lower) and min(upper), each clamped to [0, den]."""
+    def _ends(self, lo, hi):
+        """lo and hi, each clamped to [0, den]."""
         den = self.ds.den
-        return min(den, max(0, max(lower))), min(den, max(0, min(upper)))
+        return min(den, max(0, lo)), min(den, max(0, hi))
 
     def _node(self, query, theorem, lower, lo_labels, upper, hi_labels, children):
-        """_ends with its trace; the labels name `lower` and `upper` in order.
+        """The _ends of max(lower) and min(upper), with their trace; the labels
+        name `lower` and `upper` in order.
 
         The winning branch is the first candidate with the winning value.
         """
         lo_raw, hi_raw = max(lower), min(upper)
+        lo, hi = self._ends(lo_raw, hi_raw)
         den = self.ds.den
-        lo, hi = min(den, max(0, lo_raw)), min(den, max(0, hi_raw))
         trace = BoundTrace(
             query=query,
             theorem=theorem,
@@ -223,7 +224,7 @@ class _Evaluator:
         else:
             value = self.ds.evidence(ex, ey)
         if not self.trace:
-            return self._ends((value,), (value,)), None
+            return self._ends(value, value), None
         label = subquery_label(terms, ex, ey)
         return self._node(label, "Exact", [value], [label], [value], [label], ())
 
@@ -249,7 +250,7 @@ class _Evaluator:
         lower = [a, a + d + e_out - ds.den + ds.px[j - 1]]
         upper = [a + d, a + e_out]
         if not self.trace:
-            return self._ends(lower, upper), None
+            return self._ends(max(lower), min(upper)), None
         out, a_label, d_label = subquery_label((), ex, ey), "0", f"P(y{i}_x{j})-P(x{j}, y{i})"
         if ex is not None:
             theorem = "T3" if ey is None else "T4"
@@ -298,7 +299,7 @@ class _Evaluator:
         lower += [value for _, value in loo]
         lower += dec
         if not trace:
-            return self._ends(lower, upper), None
+            return self._ends(max(lower), min(upper)), None
         labels = [self._term_label(t) for t in terms]
         if theorem == "T5":
             hi_labels = [f"P({label})" for label in labels]

@@ -7,16 +7,13 @@ mass of response type t (types in lexicographic order, as in Balke & Pearl
 tables it produces, which are consistent by construction; `random_model`
 and `random_query` draw the random cases of the tests and scripts.
 
-Each simulation sample draws a random structural model, one RNG call of
-thirteen uniforms per attempt: nine response-type masses via eight sorted
-cuts, then an observational layer inside the consistency envelope. Each
-table reaches ingest as exact integers on its own scale, so the experimental
-table is the masses' marginals exactly. The real value of P(y1_x1, y1_x2) is
-f[0] by construction, so every sample checks containment and measures the
-gap of the derived bounds against a known ground truth.
-
-NumPy supplies the random streams. It is imported inside the functions that
-draw, so importing the package, or its CLI, does not load it.
+Each simulation sample draws a random structural model, thirteen uniforms
+per attempt from its own `random.Random`: nine response-type masses via
+eight sorted cuts, then an observational layer inside the consistency
+envelope. Each table reaches ingest as exact integers on its own scale, so
+the experimental table is the masses' marginals exactly. The real value of
+P(y1_x1, y1_x2) is f[0] by construction, so every sample checks containment
+and measures the gap of the derived bounds against a known ground truth.
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import random
 from typing import NamedTuple
 
 from . import model
@@ -104,15 +102,16 @@ def random_query(rng, m: int, n: int, kmax: int = 3, variant=None) -> Query:
 
 
 def _draw_attempt(rng) -> tuple:
-    """(masses, do-rows, observational table or None if inconsistent), one RNG call.
+    """(masses, do-rows, observational table or None if inconsistent) from
+    thirteen uniforms of the random.Random rng.
 
     Eight sorted cuts give the nine masses as differences, multiples of 2**-53
     that sum to 1; f[3*a + b] is the mass of the type mapping x1 -> y_{a+1},
     x2 -> y_{b+1}, and the do-rows are its exact marginals. Each observational
-    cell is low + (high - low) * u, as Generator.uniform(low, high) computes it.
+    cell is low + (high - low) * u, as rng.uniform(low, high) computes it.
     The envelope check is unrolled: a row's P(x_j) is (a + b) + c, as sum() forms it.
     """
-    *cuts, u1, u2, u3, u4, u5 = rng.random(13).tolist()
+    *cuts, u1, u2, u3, u4, u5 = [rng.random() for _ in range(13)]
     cuts.sort()
     c1, c2, c3, c4, c5, c6, c7, c8 = cuts
     f = (c1, c2 - c1, c3 - c2, c4 - c3, c5 - c4, c6 - c5, c7 - c6, c8 - c7, 1.0 - c8)
@@ -145,7 +144,7 @@ def _draw_attempt(rng) -> tuple:
 def generate_sample(rng) -> tuple:
     """One consistent (fractions, dataset) pair; redraws until valid.
 
-    rng is a NumPy Generator, and fractions the tuple of nine masses. A
+    rng is a random.Random, and fractions the tuple of nine masses. A
     do-cell, a sum of masses, is a multiple of 2**-53 in [0, 1]: it is written
     exactly as v * 2**53, so each experimental row sums to 2**53. Each
     observational cell is written exactly as its binary ratio over the largest
@@ -168,17 +167,18 @@ def generate_sample(rng) -> tuple:
 def run_simulation(num_samples: int, seed: int = 0) -> SimulationSummary:
     """Bound P(y1_x1, y1_x2) on num_samples random models.
 
-    Each sample gets its own substream keyed by (seed, index), so results
-    are reproducible and independent of sample order.
+    Each sample gets its own random.Random, seeded with the one int
+    (seed << 64) | index, so results are reproducible and independent of
+    sample order.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    import numpy as np
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
 
     records = []
     for idx in range(num_samples):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        f, dataset = generate_sample(rng)
+        f, dataset = generate_sample(random.Random((seed << 64) | idx))
         interval = bound(dataset, QUERY, trace=False).interval
         records.append(
             SimulationRecord(

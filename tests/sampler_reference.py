@@ -1,21 +1,18 @@
 """The scalar-draw simulation sampler, kept as a test reference.
 
-simgen._draw_attempt takes each attempt's thirteen uniforms in one call.
-These three functions drew them one NumPy call at a time; the batched draw
-must give the same masses, the same tables and the same rejections, and
-leave the generator in the same state.
+simgen._draw_attempt takes each attempt's thirteen uniforms in one
+comprehension. These three functions draw them one uniform() call at a
+time; the batched draw must give the same masses, the same tables and the
+same rejections, and leave the generator in the same state.
 """
 
 from __future__ import annotations
 
 
 def _draw_fractions(rng):
-    """Nine response-type masses from eight sorted uniforms, as an array."""
-    import numpy as np
-
-    cuts = np.sort(rng.uniform(0.0, 1.0, size=8))
-    edges = np.concatenate(([0.0], cuts, [1.0]))
-    return np.diff(edges)
+    """Nine response-type masses from eight sorted uniforms."""
+    edges = [0.0, *sorted(rng.uniform(0.0, 1.0) for _ in range(8)), 1.0]
+    return [b - a for a, b in zip(edges, edges[1:])]
 
 
 def _experimental_from_fractions(f) -> list[list[float]]:
