@@ -7,11 +7,11 @@ closed form over treatment arms serves as the tightness oracle, and a seeded
 simulation study measures bound quality on random models.
 """
 
-from .frechet import Interval
 from .model import (
     DataError,
     Dataset,
     Infeasible,
+    Interval,
     ProblemSpace,
     ShapeMismatch,
     ValidationReport,

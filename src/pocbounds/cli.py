@@ -18,8 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import engine, oracle, simgen
-from .frechet import Interval
-from .model import DataError, Dataset, Infeasible, load_dataset
+from .model import DataError, Dataset, Infeasible, Interval, load_dataset
 from .queryir import IndexOutOfRange, QuerySyntaxError, UnsupportedQuery, parse_query
 
 DEFAULT_SEED = 0

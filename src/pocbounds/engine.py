@@ -96,8 +96,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .frechet import EPS_NUM, Interval
-from .model import Dataset
+from .model import EPS_NUM, Dataset, Interval
 from .queryir import (
     ZERO,
     CanonicalQuery,

@@ -1,4 +1,5 @@
-"""Problem space, the Dataset record, and the one ingest pipeline.
+"""Problem space, the Dataset record, the one ingest pipeline, and the
+Interval type both paths return.
 
 Everything is indexed 1-based in the public API (treatment j in 1..m, outcome
 i in 1..n) to match the query notation; the first matrix index is always the
@@ -36,6 +37,11 @@ from typing import NamedTuple, Sequence
 # it before it is renormalized exactly. The consistency check takes no slack:
 # it runs exactly on the renormalized integers.
 EPS_PROBS = 1e-6
+
+# Slack for Interval.contains, which tests a float drawn apart from the data,
+# and the engine's zero-evidence rule: evidence below this probability is
+# refused. Engine and oracle ends need none: both round one exact rational.
+EPS_NUM = 1e-9
 
 # Denominator cap when recovering rationals from user-supplied floats.
 _FLOAT_DENOMINATOR_LIMIT = 10**9
@@ -76,6 +82,28 @@ class ProblemSpace(_ProblemSpaceFields):
     def _make(cls, iterable):
         # Through __new__, so that _replace validates too.
         return cls(*iterable)
+
+
+class Interval(NamedTuple):
+    """A [lo, hi] identification interval, as both paths return it: each end
+    one exact rational rounded once to a float.
+
+    A tuple, so it unpacks as `lo, hi = interval` and equals (lo, hi).
+    """
+
+    lo: float
+    hi: float
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+    @property
+    def midpoint(self) -> float:
+        return (self.lo + self.hi) / 2.0
+
+    def contains(self, value: float) -> bool:
+        return self.lo - EPS_NUM <= value <= self.hi + EPS_NUM
 
 
 class Violation(NamedTuple):

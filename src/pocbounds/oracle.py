@@ -51,8 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .frechet import Interval
-from .model import Dataset
+from .model import Dataset, Interval
 from .queryir import (
     ZERO,
     CanonicalQuery,

@@ -110,7 +110,13 @@ def _skip_ws(text: str, pos: int) -> int:
 
 
 def parse_query(text: str, space: ProblemSpace) -> Query:
-    """Parse the textual grammar and validate indices against the space."""
+    """Parse the textual grammar, then check its indices with validate_indices.
+
+    A syntax error raises QuerySyntaxError with its position, and an
+    unsupported form UnsupportedQuery, before any index is looked at. Only
+    then are the indices range-checked, so an IndexOutOfRange names the index
+    and the space's size, not a position.
+    """
     if not text or not text.strip():
         raise QuerySyntaxError("empty query", 0)
     pos = _skip_ws(text, 0)
@@ -160,11 +166,11 @@ def parse_query(text: str, space: ProblemSpace) -> Query:
                     "cannot condition on a counterfactual term "
                     f"(y{yo}_x{xt} appears right of '|')"
                 )
-            terms.append(_checked_term(int(xt), int(yo), space, pos))
+            terms.append(CounterfactualTerm(int(xt), int(yo)))
         elif bx is not None:
-            bare_x.append(_checked_treatment(int(bx), space, pos))
+            bare_x.append(int(bx))
         else:
-            bare_y.append(_checked_outcome(int(by), space, pos))
+            bare_y.append(int(by))
         expect_event = False
         pos = _skip_ws(text, match.end())
 
@@ -176,32 +182,22 @@ def parse_query(text: str, space: ProblemSpace) -> Query:
         raise UnsupportedQuery("at most one bare treatment event is allowed")
     if len(bare_y) > 1:
         raise UnsupportedQuery("at most one bare outcome event is allowed")
-    return Query(
+    query = Query(
         terms=tuple(terms),
         evidence_x=bare_x[0] if bare_x else None,
         evidence_y=bare_y[0] if bare_y else None,
         conditional=seen_bar,
     )
-
-
-def _checked_treatment(j: int, space: ProblemSpace, pos: int) -> int:
-    if not 1 <= j <= space.m:
-        raise IndexOutOfRange(f"x{j} out of range (m={space.m}, at position {pos})")
-    return j
-
-
-def _checked_outcome(i: int, space: ProblemSpace, pos: int) -> int:
-    if not 1 <= i <= space.n:
-        raise IndexOutOfRange(f"y{i} out of range (n={space.n}, at position {pos})")
-    return i
-
-
-def _checked_term(j: int, i: int, space: ProblemSpace, pos: int) -> CounterfactualTerm:
-    return CounterfactualTerm(_checked_treatment(j, space, pos), _checked_outcome(i, space, pos))
+    validate_indices(query, space)
+    return query
 
 
 def validate_indices(query: Query, space: ProblemSpace) -> None:
-    """Check a programmatically built query against a problem space."""
+    """Raise IndexOutOfRange unless every index of query lies in the space.
+
+    The one range check, for parsed and programmatically built queries alike:
+    terms first, then the evidence; the message names the first bad index.
+    """
     for t in query.terms:
         if not 1 <= t.treatment <= space.m:
             raise IndexOutOfRange(f"x{t.treatment} out of range (m={space.m})")

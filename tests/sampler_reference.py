@@ -1,9 +1,10 @@
 """The scalar-draw simulation sampler, kept as a test reference.
 
 simgen._draw_attempt takes each attempt's thirteen uniforms in one
-comprehension. These three functions draw them one uniform() call at a
-time; the batched draw must give the same masses, the same tables and the
-same rejections, and leave the generator in the same state.
+comprehension. The functions below draw them one uniform() call at a
+time; the batched draw must give the same masses and the same tables,
+reject the draws that fail all twelve inequalities of the consistency
+envelope checked in floats, and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ def _experimental_from_fractions(f) -> list[list[float]]:
     return [do_x1, do_x2]
 
 
-def _draw_observational(rng, exp: list[list[float]]) -> list[list[float]] | None:
+def _observational_cells(rng, exp: list[list[float]]) -> list[list[float]]:
+    """The six observational cells of one draw, with no consistency check."""
     p_y1_x1, p_y2_x1 = exp[0][0], exp[0][1]
     p_x1y1 = rng.uniform(0.0, p_y1_x1)
     p_x1y2 = rng.uniform(0.0, p_y2_x1)
@@ -37,7 +39,12 @@ def _draw_observational(rng, exp: list[list[float]]) -> list[list[float]] | None
     p_x2y1 = rng.uniform(0.0, min(exp[1][0], p_x2))
     p_x2y2 = rng.uniform(0.0, min(exp[1][1], p_x2 - p_x2y1))
     p_x2y3 = p_x2 - p_x2y1 - p_x2y2
-    obs = [[p_x1y1, p_x1y2, p_x1y3], [p_x2y1, p_x2y2, p_x2y3]]
+    return [[p_x1y1, p_x1y2, p_x1y3], [p_x2y1, p_x2y2, p_x2y3]]
+
+
+def _draw_observational(rng, exp: list[list[float]]) -> list[list[float]] | None:
+    """The six cells, or None unless all twelve envelope inequalities hold."""
+    obs = _observational_cells(rng, exp)
     for j in range(2):
         p_xj = sum(obs[j])
         for i in range(3):
@@ -54,9 +61,9 @@ def common_scale_sample(rng):
     exact accessors and the report, must be the same.
     """
     from pocbounds.model import dataset_from_counts
-    from pocbounds.simgen import MAX_REDRAWS, _draw_attempt
+    from pocbounds.simgen import _draw_attempt
 
-    for _ in range(MAX_REDRAWS):
+    while True:
         f, exp, obs = _draw_attempt(rng)
         if obs is None:
             continue
@@ -66,4 +73,3 @@ def common_scale_sample(rng):
         dataset = dataset_from_counts([c[0:3], c[3:6]], [c[6:9], c[9:12]])
         if dataset.validation.ok:
             return f, dataset
-    raise RuntimeError("no consistent sample after the redraw cap")

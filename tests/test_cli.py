@@ -8,6 +8,7 @@ import pytest
 
 from pocbounds import cli
 from pocbounds.cli import fixture_path, main
+from pocbounds.model import Interval
 from pocbounds.simgen import SimulationSummary
 
 
@@ -88,6 +89,15 @@ class TestBound:
         out = capsys.readouterr().out
         assert "oracle: [0.063333, 0.098889]" in out
         assert "oracle containment: ok" in out
+
+    def test_oracle_containment_violated(self, monkeypatch, capsys):
+        # A tight interval the engine's does not contain fails the cross-check.
+        monkeypatch.setattr(cli.oracle, "tight_bounds", lambda dataset, query: Interval(0.0, 1.0))
+        code = main(["bound", "--data", TREATMENT, "--query", "P(y3_x1, y1_x2, y2_x3)", "--oracle"])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "oracle: [0.000000, 1.000000]" in out
+        assert "oracle containment: VIOLATED" in out
 
     def test_refuses_inconsistent_data(self, tmp_path, capsys):
         # An exact query too: no model fits the data, so there is nothing to bound.

@@ -1,6 +1,6 @@
 import math
 
-from pocbounds.frechet import Interval
+from pocbounds.model import Interval
 
 
 class TestInterval:

@@ -12,8 +12,7 @@ from fractions import Fraction
 import pytest
 
 from pocbounds.engine import ZeroEvidenceProbability
-from pocbounds.frechet import EPS_NUM
-from pocbounds.model import Infeasible, dataset_from_counts
+from pocbounds.model import EPS_NUM, Infeasible, dataset_from_counts
 from pocbounds.oracle import _closed_form, _exact_bounds
 from pocbounds.queryir import (
     EXACT,

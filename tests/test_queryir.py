@@ -118,6 +118,10 @@ class TestQueryType:
         with pytest.raises(IndexOutOfRange):
             validate_indices(Query(terms=(T(4, 1),)), SPACE)
         with pytest.raises(IndexOutOfRange):
+            validate_indices(Query(terms=(T(1, 9),)), SPACE)
+        with pytest.raises(IndexOutOfRange):
+            validate_indices(Query(terms=(T(1, 1),), evidence_x=9), SPACE)
+        with pytest.raises(IndexOutOfRange):
             validate_indices(Query(terms=(T(1, 1),), evidence_y=9), SPACE)
 
 

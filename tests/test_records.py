@@ -13,8 +13,7 @@ from conftest import TREATMENT_EXP, TREATMENT_OBS, exact
 
 import pocbounds
 from pocbounds import bound, run_simulation
-from pocbounds.frechet import Interval
-from pocbounds.model import DataError, Dataset, ProblemSpace, dataset_from_counts
+from pocbounds.model import DataError, Dataset, Interval, ProblemSpace, dataset_from_counts
 from pocbounds.queryir import CounterfactualTerm, Query, UnsupportedQuery, canonicalize
 
 T = CounterfactualTerm

@@ -11,6 +11,7 @@ from pocbounds.simgen import (
     QUERY,
     SimulationRecord,
     SimulationSummary,
+    _dataset_of,
     _draw_attempt,
     counts_from_masses,
     export_csv,
@@ -25,6 +26,7 @@ from sampler_reference import (
     _draw_fractions,
     _draw_observational,
     _experimental_from_fractions,
+    _observational_cells,
     common_scale_sample,
 )
 
@@ -45,6 +47,18 @@ class TestRandomModels:
         rng = random.Random(0)
         for m, n in ((2, 2), (3, 3), (4, 2)):
             assert all(random_model(rng, m, n).validation.ok for _ in range(20))
+
+    def test_random_model_all_zero_draw(self):
+        # A draw with no mass at all puts unit mass on the first type, which
+        # sends every x_j to y_1 and is observed under x_1.
+        class Zeros:
+            def randrange(self, start, stop):
+                return 0
+
+        ds = random_model(Zeros(), 3, 2)
+        assert ds.validation.ok
+        assert all(row == (ds.den, 0) for row in ds.do)
+        assert ds.joint == ((ds.den, 0), (0, 0), (0, 0))
 
 
 class TestModelDraw:
@@ -98,6 +112,20 @@ class TestBatchedDraw:
             assert exp == ref_exp
             assert obs == ref_obs
             assert batched.random() == scalar.random()
+            rejected += obs is None
+        assert 0 < rejected < 2000
+
+    def test_prefilter_decides_as_report(self):
+        # _draw_attempt checks two remainder cells in floats; the exact report
+        # of the six unchecked cells, ingested as generate_sample ingests
+        # them, must reject the same draws.
+        rejected = 0
+        for idx in range(2000):
+            batched, scalar = rng_for(17, idx), rng_for(17, idx)
+            _, _, obs = _draw_attempt(batched)
+            exp = _experimental_from_fractions(_draw_fractions(scalar))
+            ds = _dataset_of(exp, _observational_cells(scalar, exp))
+            assert (obs is None) == (not ds.validation.ok), idx
             rejected += obs is None
         assert 0 < rejected < 2000
 

@@ -8,8 +8,7 @@ response-type LP of Balke & Pearl (1997) in lp_reference.py.
 from __future__ import annotations
 
 from pocbounds.engine import _evidence_divisor
-from pocbounds.frechet import Interval
-from pocbounds.model import Dataset
+from pocbounds.model import Dataset, Interval
 
 from conftest import exact
 
