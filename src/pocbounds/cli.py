@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
-from . import engine, oracle, simgen
 from .model import DataError, Dataset, Infeasible, Interval, load_dataset
 from .queryir import IndexOutOfRange, QuerySyntaxError, UnsupportedQuery, parse_query
+
+# engine, oracle and simgen are imported inside the commands that call them,
+# so each process loads only the modules its subcommand runs.
 
 DEFAULT_SEED = 0
 
@@ -83,7 +84,7 @@ _positive_int, _nonnegative_int = _int_at_least(1, "positive"), _int_at_least(0,
 
 
 def fixture_path(name: str) -> Path:
-    return Path(str(resources.files("pocbounds") / "fixtures" / f"{name}.json"))
+    return Path(__file__).with_name("fixtures") / f"{name}.json"
 
 
 def _fmt(interval: Interval) -> str:
@@ -106,6 +107,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from . import engine
+
     dataset = load_dataset(args.data)
     query = parse_query(args.query, dataset.space)
     result = engine.bound(dataset, query, trace=args.trace)
@@ -113,6 +116,8 @@ def _cmd_bound(args) -> int:
     if args.trace:
         print(json.dumps(result.trace.to_json(), indent=2))
     if args.oracle:
+        from . import oracle
+
         tight = oracle.tight_bounds(dataset, query)
         print(f"oracle: {_fmt(tight)}")
         # Both paths round the same exact ends once: no slack is needed.
@@ -124,6 +129,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     dataset = load_dataset(args.data)
     query = parse_query(args.query, dataset.space)
     print(_fmt(oracle.tight_bounds(dataset, query)))
@@ -131,6 +138,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simgen
+
     summary = simgen.run_simulation(args.samples, seed=args.seed)
     if args.out:
         simgen.write_csv(summary, args.out)
@@ -144,6 +153,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _check_rows(dataset: Dataset, rows) -> tuple[list[str], bool]:
+    from . import engine
+
     lines, ok = [], True
     for text, elo, ehi in rows:
         result = engine.bound(dataset, parse_query(text, dataset.space), trace=False)
@@ -159,6 +170,8 @@ def _check_rows(dataset: Dataset, rows) -> tuple[list[str], bool]:
 
 def _cmd_reproduce(args) -> int:
     if args.example == "simulation":
+        from . import simgen
+
         summary = simgen.run_simulation(_SIM_SAMPLES, seed=DEFAULT_SEED)
         print(f"samples: {summary.num_samples}")
         print(f"average_gap: {summary.average_gap:.6f}")
@@ -231,7 +244,13 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
-    except engine.ZeroEvidenceProbability as exc:
+    except ValueError as exc:
+        # Only an engine call raises ZeroEvidenceProbability: naming it in an
+        # except clause would load the engine into every process.
+        from .engine import ZeroEvidenceProbability
+
+        if not isinstance(exc, ZeroEvidenceProbability):
+            raise
         print(f"undefined conditional: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

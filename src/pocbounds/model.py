@@ -27,10 +27,11 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sized
-from fractions import Fraction
 from numbers import Integral, Real
-from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 # Slack for hand-typed probability files at ingest: a cell may lie this far
 # outside [0, 1], and a row (or the observational table) may sum to 1 within
@@ -162,6 +163,8 @@ class Dataset(NamedTuple):
         """
         if self.validation.ok:
             return
+        from fractions import Fraction
+
         j, i, _ = self.validation.violations[0]
         do = Fraction(self.do[j - 1][i - 1], self.den)
         joint = Fraction(self.joint[j - 1][i - 1], self.den)
@@ -201,6 +204,8 @@ def _lift(v: float) -> tuple[int, int]:
 
     Returns (p, q) in lowest terms.
     """
+    from fractions import Fraction
+
     lifted = Fraction(max(0.0, float(v))).limit_denominator(_FLOAT_DENOMINATOR_LIMIT)
     return lifted.as_integer_ratio()
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pocbounds import cli
+from pocbounds import cli, oracle, simgen
 from pocbounds.cli import fixture_path, main
 from pocbounds.model import Interval
 from pocbounds.simgen import SimulationSummary
@@ -92,7 +92,7 @@ class TestBound:
 
     def test_oracle_containment_violated(self, monkeypatch, capsys):
         # A tight interval the engine's does not contain fails the cross-check.
-        monkeypatch.setattr(cli.oracle, "tight_bounds", lambda dataset, query: Interval(0.0, 1.0))
+        monkeypatch.setattr(oracle, "tight_bounds", lambda dataset, query: Interval(0.0, 1.0))
         code = main(["bound", "--data", TREATMENT, "--query", "P(y3_x1, y1_x2, y2_x3)", "--oracle"])
         assert code == 2
         out = capsys.readouterr().out
@@ -175,7 +175,7 @@ class TestReproduce:
         fake = SimulationSummary(
             num_samples=1000, average_gap=0.231, containment_rate=1.0, records=()
         )
-        monkeypatch.setattr(cli.simgen, "run_simulation", lambda n, seed=0: fake)
+        monkeypatch.setattr(simgen, "run_simulation", lambda n, seed=0: fake)
         code = main(["reproduce", "--example", "simulation"])
         assert code == 0
         assert "ok" in capsys.readouterr().out
@@ -184,7 +184,7 @@ class TestReproduce:
         fake = SimulationSummary(
             num_samples=1000, average_gap=0.170, containment_rate=1.0, records=()
         )
-        monkeypatch.setattr(cli.simgen, "run_simulation", lambda n, seed=0: fake)
+        monkeypatch.setattr(simgen, "run_simulation", lambda n, seed=0: fake)
         code = main(["reproduce", "--example", "simulation"])
         assert code == 2
         assert "MISMATCH" in capsys.readouterr().out
@@ -371,22 +371,51 @@ class TestErrorPaths:
         )
 
 
+# Prints, after `import pocbounds.cli` and again after `main(sys.argv[1:])`,
+# the pocbounds modules loaded and which of the watched standard-library
+# modules are.
+_MODULES_PROBE = """
+import json, sys
+def loaded():
+    watched = ('numpy', 'dataclasses', 'fractions', 'decimal', 'csv')
+    return [sorted(m for m in sys.modules if m.startswith('pocbounds')),
+            [m for m in watched if sys.modules.get(m)]]
+import pocbounds.cli
+print(json.dumps(loaded()))
+sys.modules['numpy'] = None
+status = pocbounds.cli.main(sys.argv[1:])
+print(json.dumps(loaded()))
+sys.exit(status)
+"""
+
+
 def test_cli_import_loads_no_numpy():
-    # Each CLI process pays for its imports; dataclasses also pulls in
-    # inspect, dis, ast and tokenize, and generates code for every class.
-    # The package has no runtime dependency: with numpy made unimportable,
-    # the simulation still runs.
+    # Each CLI process pays for its imports, so it loads only the modules its
+    # subcommand runs: fractions (and with it decimal) only for the oracle,
+    # csv only for the simulation. dataclasses would also pull in inspect,
+    # dis, ast and tokenize. The package has no runtime dependency: with
+    # numpy made unimportable, the simulation still runs.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    code = (
-        "import sys, pocbounds.cli; "
-        "print([m for m in ('numpy', 'dataclasses') if m in sys.modules]); "
-        "sys.modules['numpy'] = None; "
-        "sys.exit(pocbounds.cli.main(['simulate', '--samples', '2']))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    lines = out.stdout.splitlines()
-    assert lines[0] == "[]"
+    data = str(fixture_path("treatment"))
+    base = ["pocbounds", "pocbounds.cli", "pocbounds.model", "pocbounds.queryir"]
+    cases = [
+        (["validate", "--data", data], [], []),
+        (["reproduce", "--example", "treatment"], ["engine"], []),
+        (
+            ["bound", "--oracle", "--data", data, "--query", "P(y3_x1, y1_x2)"],
+            ["engine", "oracle"],
+            ["fractions", "decimal"],
+        ),
+        (["simulate", "--samples", "2"], ["engine", "simgen"], ["csv"]),
+    ]
+    for argv, added, stdlib in cases:
+        out = subprocess.run(
+            [sys.executable, "-c", _MODULES_PROBE, *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        lines = out.stdout.splitlines()
+        assert json.loads(lines[0]) == [base, []], argv
+        after = sorted(base + [f"pocbounds.{name}" for name in added])
+        assert json.loads(lines[-1]) == [after, stdlib], argv
     assert lines[1].startswith("sample_id,")
-    assert len(lines) == 4
+    assert len(lines) == 5

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from pocbounds import model
 from pocbounds.model import (
     DataError,
+    Interval,
     ProblemSpace,
     ShapeMismatch,
     ZeroGrandTotal,
@@ -34,6 +36,30 @@ class TestProblemSpace:
             ProblemSpace(1, 2)
         with pytest.raises(DataError):
             ProblemSpace(2, 1)
+
+
+class TestInterval:
+    def test_width_and_midpoint(self):
+        iv = Interval(0.2, 0.5)
+        assert math.isclose(iv.width, 0.3)
+        assert math.isclose(iv.midpoint, 0.35)
+
+    def test_contains_with_tolerance(self):
+        iv = Interval(0.2, 0.5)
+        assert iv.contains(0.2)
+        assert iv.contains(0.5)
+        assert iv.contains(0.2 - 1e-12)
+        assert not iv.contains(0.19)
+        assert not iv.contains(0.51)
+
+    def test_iter_unpacks(self):
+        lo, hi = Interval(0.25, 0.75)
+        assert (lo, hi) == (0.25, 0.75)
+
+    def test_point_interval(self):
+        iv = Interval(0.4, 0.4)
+        assert iv.width == 0.0
+        assert iv.contains(0.4)
 
 
 class TestCountsIngestion:
