@@ -417,5 +417,6 @@ def test_cli_import_loads_no_numpy():
         assert json.loads(lines[0]) == [base, []], argv
         after = sorted(base + [f"pocbounds.{name}" for name in added])
         assert json.loads(lines[-1]) == [after, stdlib], argv
+    # The last case, simulate, printed a CSV header and two rows.
     assert lines[1].startswith("sample_id,")
     assert len(lines) == 5
