@@ -74,10 +74,36 @@ class TestParse:
         with pytest.raises(QuerySyntaxError):
             parse_query(text, SPACE)
 
-    def test_syntax_error_reports_position(self):
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", "empty query", 0),
+            (" \t\xa0", "empty query", 0),
+            ("Q(y1_x1)", "expected 'P'", 0),
+            ("  y1_x1", "expected 'P'", 2),
+            ("P y1_x1)", "expected '('", 2),
+            ("P", "expected '('", 1),
+            ("P(", "unterminated query, expected ')'", 2),
+            ("P(y1_x1 ", "unterminated query, expected ')'", 8),
+            ("P()", "expected an event before ')'", 2),
+            ("P(y1_x1, )", "expected an event before ')'", 9),
+            ("P(,y1_x1)", "unexpected ','", 2),
+            ("P(y1_x1 | ,x1)", "unexpected ','", 10),
+            ("P(|x1)", "unexpected '|'", 2),
+            ("P(y1_x1 | x1 | y1)", "unexpected '|'", 13),
+            ("P(y1_x1 y2_x2)", "expected ',', '|' or ')'", 8),
+            ("P(y1_x1_x2)", "expected ',', '|' or ')'", 7),
+            ("P(y1_x1, z9)", "expected an event like y1_x2, x2 or y1", 9),
+            ("P(\xa0y_)", "expected an event like y1_x2, x2 or y1", 3),
+            ("P(y1_x1) extra", "trailing input after ')'", 9),
+            ("P(y1_x1)\xa0)", "trailing input after ')'", 9),
+        ],
+    )
+    def test_syntax_error_reports_position(self, text, message, position):
         with pytest.raises(QuerySyntaxError) as exc:
-            parse_query("P(y1_x1, z9)", SPACE)
-        assert exc.value.position == 9
+            parse_query(text, SPACE)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
 
     @pytest.mark.parametrize("text", ["P(y1_x4)", "P(y4_x1)", "P(y1_x1, x9)", "P(y1_x1 | y7)"])
     def test_index_out_of_range(self, text):
