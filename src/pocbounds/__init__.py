@@ -42,6 +42,7 @@ _HOMES = {
             "Query",
             "QuerySyntaxError",
             "UnsupportedQuery",
+            "ZeroEvidenceProbability",
             "canonicalize",
             "format_query",
             "parse_query",
@@ -49,7 +50,7 @@ _HOMES = {
         ),
         "queryir",
     ),
-    **dict.fromkeys(("BoundResult", "BoundTrace", "ZeroEvidenceProbability", "bound"), "engine"),
+    **dict.fromkeys(("BoundResult", "BoundTrace", "bound"), "engine"),
     "tight_bounds": "oracle",
     **dict.fromkeys(
         (

@@ -17,7 +17,13 @@ import sys
 from pathlib import Path
 
 from .model import DataError, Dataset, Infeasible, Interval, load_dataset
-from .queryir import IndexOutOfRange, QuerySyntaxError, UnsupportedQuery, parse_query
+from .queryir import (
+    IndexOutOfRange,
+    QuerySyntaxError,
+    UnsupportedQuery,
+    ZeroEvidenceProbability,
+    parse_query,
+)
 
 # engine, oracle and simgen are imported inside the commands that call them,
 # so each process loads only the modules its subcommand runs.
@@ -244,13 +250,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        # Only an engine call raises ZeroEvidenceProbability: naming it in an
-        # except clause would load the engine into every process.
-        from .engine import ZeroEvidenceProbability
-
-        if not isinstance(exc, ZeroEvidenceProbability):
-            raise
+    except ZeroEvidenceProbability as exc:
         print(f"undefined conditional: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

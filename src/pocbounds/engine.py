@@ -16,11 +16,11 @@ Every candidate is a sum of table cells with integer coefficients, so the
 evaluator computes each one exactly, as a numerator over the dataset's
 common denominator den: cells and marginals are read from Dataset.do,
 joint, px and py, the constant 1 is den, and a node's interval is a pair of
-ints clamped to [0, den]. bound rounds each end once, dividing it by den,
-or by the evidence numerator for a conditional query; int / int true
-division rounds correctly. Every candidate is a valid bound, and
-consistent data admit a model, so no node's lower end exceeds its upper
-end.
+ints clamped to [0, den]. bound rounds each end once, dividing it by
+queryir.divisor: den, or the evidence numerator for a conditional query;
+int / int true division rounds correctly. Every candidate is a valid
+bound, and consistent data admit a model, so no node's lower end exceeds
+its upper end.
 
 Traces are built on request. bound's default, trace=True, gives a
 BoundTrace per node; with trace=False each body computes the same integer
@@ -52,7 +52,7 @@ a, and arm c != j frees min(theta_c, P(x_c)) = theta_c in A and P(x_c)
 outside it, so the one-term cut gives F* = min(D, 1 - P(x_j) - e_out) and
 the min is a + D - F* = a + max(0, D + e_out - 1 + P(x_j)). Both ends lie
 in [0, a + e_out] and a + e_out <= e <= 1, so the clamp keeps them, and
-bound and tight_bounds divide the same ints by the same divisor: the
+bound and tight_bounds divide the same ints by queryir.divisor: the
 intervals are equal bit for bit, conditional queries included.
 
 Pair dominance. A conjunction's upper candidates are each term's pair
@@ -96,13 +96,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import EPS_NUM, Dataset, Interval
+from .model import Dataset, Interval
 from .queryir import (
     ZERO,
-    CanonicalQuery,
     Query,
     UnsupportedQuery,
     canonicalize,
+    divisor,
     parse_query,
     restrict_to_arm,
     subquery_label,
@@ -113,13 +113,6 @@ from .queryir import (
 # like 2^(k+2); with it an 8-term query on an 8x4 table visits 65. The limit
 # guards the unpruned worst case.
 MAX_TERMS = 8
-
-
-class ZeroEvidenceProbability(ValueError):
-    """Conditioning on evidence whose probability is (numerically) zero."""
-
-    def __init__(self, label: str, value: float):
-        super().__init__(f"evidence {label} has probability {value!r}; cannot condition on it")
 
 
 class BoundTrace(NamedTuple):
@@ -356,25 +349,6 @@ class _Evaluator:
         return cands
 
 
-def _evidence_divisor(dataset: Dataset, ex, ey) -> int:
-    """The numerator over den of P(x_ex, y_ey), P(x_ex) or P(y_ey), as a divisor.
-
-    The one rule for conditioning, in bound and the oracle:
-    evidence below EPS_NUM raises ZeroEvidenceProbability.
-    """
-    divisor = dataset.evidence(ex, ey)
-    if divisor / dataset.den < EPS_NUM:
-        raise ZeroEvidenceProbability(subquery_label((), ex, ey), divisor / dataset.den)
-    return divisor
-
-
-def _divisor(dataset: Dataset, cq: CanonicalQuery) -> int:
-    """The divisor of both ends, in bound and the oracle: den, or the evidence numerator."""
-    if cq.conditional:
-        return _evidence_divisor(dataset, cq.divisor_x, cq.divisor_y)
-    return dataset.den
-
-
 # The trace of every ZERO query: its one candidate, 0, is both ends.
 _ZERO_TRACE = BoundTrace("P(impossible event)", "Zero", "0", "0", 0.0, 0.0, (("0", 0),), ())
 
@@ -386,8 +360,9 @@ def bound(dataset: Dataset, query: Query | str, *, trace: bool = True) -> BoundR
     Infeasible, for every query, as tight_bounds does. Zero queries give
     [0, 0]; queries that reduce to observational content give a point
     interval; everything else runs the theorem recursion. Conditional queries
-    divide the joint interval by the evidence probability and raise
-    ZeroEvidenceProbability when that probability is below EPS_NUM.
+    divide the joint interval by the evidence probability, and
+    queryir.divisor raises ZeroEvidenceProbability when that probability is
+    below EPS_NUM.
 
     With trace=False no derivation is built and the result's trace is None;
     the interval and stats_evaluated are the same as with the trace.
@@ -404,9 +379,9 @@ def bound(dataset: Dataset, query: Query | str, *, trace: bool = True) -> BoundR
             f"{len(cq.terms)} counterfactual terms exceed the limit of {MAX_TERMS}; "
             "unpruned, the recursion grows like 2^(k+2)"
         )
-    divisor = _divisor(dataset, cq)
+    divide_by = divisor(dataset, cq)
     if cq.kind == ZERO:
         return BoundResult(Interval(0.0, 0.0), _ZERO_TRACE if trace else None, 1)
     evaluator = _Evaluator(dataset, trace)
     (lo, hi), root = evaluator.eval(cq.terms, cq.evidence_x, cq.evidence_y)
-    return BoundResult(Interval(lo / divisor, hi / divisor), root, len(evaluator.memo))
+    return BoundResult(Interval(lo / divide_by, hi / divide_by), root, len(evaluator.memo))

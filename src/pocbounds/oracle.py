@@ -41,10 +41,10 @@ on the source side takes the s cheapest per-term costs, one sort per size.
 
 Everything is exact integer arithmetic on the dataset's numerators over
 den, O(k^2 log k + k m) operations per query. Only a prefix cap, a sum over
-i - 1, and the final division of each end (by den, or by the evidence
-numerator of a conditional query) build a Fraction. The arm LP and the
-response-type LP of Balke & Pearl (1997), solved by a simplex in the tests,
-must agree with it exactly.
+i - 1, and the final division of each end by queryir.divisor (den, or the
+evidence numerator of a conditional query, as in engine.bound) build a
+Fraction. The arm LP and the response-type LP of Balke & Pearl (1997),
+solved by a simplex in the tests, must agree with it exactly.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ from .queryir import (
     CanonicalQuery,
     Query,
     canonicalize,
+    divisor,
     parse_query,
     restrict_to_arm,
     validate_indices,
 )
-from .engine import _divisor
 
 
 def _closed_form(dataset: Dataset, cq: CanonicalQuery) -> tuple[int, Fraction | int]:
@@ -108,12 +108,12 @@ def _closed_form(dataset: Dataset, cq: CanonicalQuery) -> tuple[int, Fraction | 
 
 def _exact_bounds(dataset: Dataset, cq: CanonicalQuery) -> tuple[Fraction, Fraction]:
     """Tight (min, max) as exact Fractions: each end of the closed form is
-    divided once, by the engine's divisor for the query.
+    divided once, by queryir.divisor.
     """
     dataset.check_consistent()
-    divisor = _divisor(dataset, cq)
+    divide_by = divisor(dataset, cq)
     lo, hi = (0, 0) if cq.kind == ZERO else _closed_form(dataset, cq)
-    return Fraction(lo, divisor), Fraction(hi, divisor)
+    return Fraction(lo, divide_by), Fraction(hi, divide_by)
 
 
 def tight_bounds(dataset: Dataset, query: Query | str) -> Interval:

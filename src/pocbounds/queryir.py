@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .model import ProblemSpace
+from .model import EPS_NUM, Dataset, ProblemSpace
 
 ZERO = "zero"
 EXACT = "exact"
@@ -39,6 +39,13 @@ class IndexOutOfRange(ValueError):
 
 class UnsupportedQuery(ValueError):
     pass
+
+
+class ZeroEvidenceProbability(ValueError):
+    """Conditioning on evidence whose probability is (numerically) zero."""
+
+    def __init__(self, label: str, value: float):
+        super().__init__(f"evidence {label} has probability {value!r}; cannot condition on it")
 
 
 class CounterfactualTerm(NamedTuple):
@@ -86,27 +93,43 @@ class CanonicalQuery(NamedTuple):
     treatments and evidence_x outside them, matching the theorem
     preconditions literally.
 
-    The divisor fields keep the original evidence of a conditional query;
-    absorption can grow the event's evidence (P(y1_x3 | x3) has event
-    evidence (x3, y1) but still divides by P(x3) only).
+    The divisor fields keep the original evidence of a conditional query,
+    and are None for any other; absorption can grow the event's evidence
+    (P(y1_x3 | x3) has event evidence (x3, y1) but still divides by P(x3)
+    only).
     """
 
     kind: str
     terms: tuple[CounterfactualTerm, ...] = ()
     evidence_x: int | None = None
     evidence_y: int | None = None
-    conditional: bool = False
     divisor_x: int | None = None
     divisor_y: int | None = None
 
+    @property
+    def conditional(self) -> bool:
+        return self.divisor_x is not None or self.divisor_y is not None
 
-_EVENT_RE = re.compile(r"y(\d+)_x(\d+)|x(\d+)|y(\d+)")
+
+def divisor(dataset: Dataset, cq: CanonicalQuery) -> int:
+    """The divisor of both ends of cq, as a numerator over den.
+
+    The one conditioning rule, in engine.bound and the oracle: den for a
+    joint query, else the numerator of the original evidence P(x, y), P(x)
+    or P(y); evidence below EPS_NUM raises ZeroEvidenceProbability.
+    """
+    if not cq.conditional:
+        return dataset.den
+    value = dataset.evidence(cq.divisor_x, cq.divisor_y)
+    if value / dataset.den < EPS_NUM:
+        label = subquery_label((), cq.divisor_x, cq.divisor_y)
+        raise ZeroEvidenceProbability(label, value / dataset.den)
+    return value
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+# One token per match: an event (groups 2-5) or any other single character
+# (group 6), each after optional whitespace.
+_TOKEN_RE = re.compile(r"\s*(y(\d+)_x(\d+)|x(\d+)|y(\d+)|(\S))")
 
 
 def parse_query(text: str, space: ProblemSpace) -> Query:
@@ -117,49 +140,41 @@ def parse_query(text: str, space: ProblemSpace) -> Query:
     then are the indices range-checked, so an IndexOutOfRange names the index
     and the space's size, not a position.
     """
-    if not text or not text.strip():
+    tokens = _TOKEN_RE.finditer(text)
+    tok = next(tokens, None)
+    if tok is None:  # the text is empty or all whitespace
         raise QuerySyntaxError("empty query", 0)
-    pos = _skip_ws(text, 0)
-    if pos >= len(text) or text[pos] != "P":
-        raise QuerySyntaxError("expected 'P'", pos)
-    pos = _skip_ws(text, pos + 1)
-    if pos >= len(text) or text[pos] != "(":
-        raise QuerySyntaxError("expected '('", pos)
-    pos = _skip_ws(text, pos + 1)
+    if tok[6] != "P":
+        raise QuerySyntaxError("expected 'P'", tok.start(1))
+    tok = next(tokens, None)
+    if tok is None or tok[6] != "(":
+        raise QuerySyntaxError("expected '('", len(text) if tok is None else tok.start(1))
 
     terms: list[CounterfactualTerm] = []
     bare_x: list[int] = []
     bare_y: list[int] = []
     seen_bar = False
     expect_event = True
-    while True:
-        if pos >= len(text):
-            raise QuerySyntaxError("unterminated query, expected ')'", pos)
-        ch = text[pos]
+    for tok in tokens:
+        _, yo, xt, bx, by, ch = tok.groups()
         if ch == ")":
             if expect_event:
-                raise QuerySyntaxError("expected an event before ')'", pos)
-            pos += 1
+                raise QuerySyntaxError("expected an event before ')'", tok.start(1))
             break
         if ch == ",":
             if expect_event:
-                raise QuerySyntaxError("unexpected ','", pos)
+                raise QuerySyntaxError("unexpected ','", tok.start(1))
             expect_event = True
-            pos = _skip_ws(text, pos + 1)
             continue
         if ch == "|":
             if expect_event or seen_bar:
-                raise QuerySyntaxError("unexpected '|'", pos)
-            seen_bar = True
-            expect_event = True
-            pos = _skip_ws(text, pos + 1)
+                raise QuerySyntaxError("unexpected '|'", tok.start(1))
+            seen_bar = expect_event = True
             continue
         if not expect_event:
-            raise QuerySyntaxError("expected ',', '|' or ')'", pos)
-        match = _EVENT_RE.match(text, pos)
-        if match is None:
-            raise QuerySyntaxError("expected an event like y1_x2, x2 or y1", pos)
-        yo, xt, bx, by = match.groups()
+            raise QuerySyntaxError("expected ',', '|' or ')'", tok.start(1))
+        if ch is not None:
+            raise QuerySyntaxError("expected an event like y1_x2, x2 or y1", tok.start(1))
         if yo is not None:
             if seen_bar:
                 raise UnsupportedQuery(
@@ -172,11 +187,11 @@ def parse_query(text: str, space: ProblemSpace) -> Query:
         else:
             bare_y.append(int(by))
         expect_event = False
-        pos = _skip_ws(text, match.end())
-
-    tail = _skip_ws(text, pos)
-    if tail != len(text):
-        raise QuerySyntaxError("trailing input after ')'", tail)
+    else:
+        raise QuerySyntaxError("unterminated query, expected ')'", len(text))
+    tail = next(tokens, None)
+    if tail is not None:
+        raise QuerySyntaxError("trailing input after ')'", tail.start(1))
 
     if len(bare_x) > 1:
         raise UnsupportedQuery("at most one bare treatment event is allowed")
@@ -237,48 +252,27 @@ def canonicalize(query: Query) -> CanonicalQuery:
     consistency rule of restrict_to_arm (or kills the event if the evidence
     outcome disagrees); remaining terms are sorted by treatment.
     """
-    divisor_x = query.evidence_x if query.conditional else None
-    divisor_y = query.evidence_y if query.conditional else None
-
-    def zero() -> CanonicalQuery:
-        return CanonicalQuery(
-            ZERO,
-            conditional=query.conditional,
-            divisor_x=divisor_x,
-            divisor_y=divisor_y,
-        )
+    # The divisor fields, set only for a conditional query.
+    divides = {}
+    if query.conditional:
+        divides = {"divisor_x": query.evidence_x, "divisor_y": query.evidence_y}
 
     by_treatment: dict[int, CounterfactualTerm] = {}
     for t in query.terms:
         kept = by_treatment.setdefault(t.treatment, t)
         if kept.outcome != t.outcome:
             # Y under do(x_j) is a single value; it cannot be two outcomes.
-            return zero()
+            return CanonicalQuery(ZERO, **divides)
     remaining = tuple(sorted(by_treatment.values()))
     ex, ey = query.evidence_x, query.evidence_y
     if ex is not None:
         arm = restrict_to_arm(remaining, ex, ey)
         if arm is None:
-            return zero()
+            return CanonicalQuery(ZERO, **divides)
         remaining, ey = arm
     if not remaining:
-        return CanonicalQuery(
-            EXACT,
-            evidence_x=ex,
-            evidence_y=ey,
-            conditional=query.conditional,
-            divisor_x=divisor_x,
-            divisor_y=divisor_y,
-        )
-    return CanonicalQuery(
-        STANDARD,
-        terms=remaining,
-        evidence_x=ex,
-        evidence_y=ey,
-        conditional=query.conditional,
-        divisor_x=divisor_x,
-        divisor_y=divisor_y,
-    )
+        return CanonicalQuery(EXACT, evidence_x=ex, evidence_y=ey, **divides)
+    return CanonicalQuery(STANDARD, remaining, ex, ey, **divides)
 
 
 def _event_text(terms, evidence_x, evidence_y) -> str:

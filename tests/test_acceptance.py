@@ -10,9 +10,15 @@ import time
 
 import pytest
 
-from pocbounds.engine import ZeroEvidenceProbability, bound
+from pocbounds.engine import bound
 from pocbounds.oracle import tight_bounds
-from pocbounds.queryir import STANDARD, CounterfactualTerm, Query, canonicalize
+from pocbounds.queryir import (
+    STANDARD,
+    CounterfactualTerm,
+    Query,
+    ZeroEvidenceProbability,
+    canonicalize,
+)
 from pocbounds.simgen import export_csv, random_model, random_query, run_simulation
 
 from conftest import exact

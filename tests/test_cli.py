@@ -392,9 +392,9 @@ sys.exit(status)
 def test_cli_import_loads_no_numpy():
     # Each CLI process pays for its imports, so it loads only the modules its
     # subcommand runs: fractions (and with it decimal) only for the oracle,
-    # csv only for the simulation. dataclasses would also pull in inspect,
-    # dis, ast and tokenize. The package has no runtime dependency: with
-    # numpy made unimportable, the simulation still runs.
+    # which needs no engine, csv only for the simulation. dataclasses would
+    # also pull in inspect, dis, ast and tokenize. The package has no runtime
+    # dependency: with numpy made unimportable, the simulation still runs.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     data = str(fixture_path("treatment"))
     base = ["pocbounds", "pocbounds.cli", "pocbounds.model", "pocbounds.queryir"]
@@ -404,6 +404,11 @@ def test_cli_import_loads_no_numpy():
         (
             ["bound", "--oracle", "--data", data, "--query", "P(y3_x1, y1_x2)"],
             ["engine", "oracle"],
+            ["fractions", "decimal"],
+        ),
+        (
+            ["oracle", "--data", data, "--query", "P(y3_x1, y1_x2)"],
+            ["oracle"],
             ["fractions", "decimal"],
         ),
         (["simulate", "--samples", "2"], ["engine", "simgen"], ["csv"]),

@@ -8,11 +8,10 @@ from pocbounds.engine import (
     MAX_TERMS,
     BoundResult,
     BoundTrace,
-    ZeroEvidenceProbability,
     bound,
 )
 from pocbounds.model import Infeasible, dataset_from_counts, dataset_from_probs
-from pocbounds.queryir import CounterfactualTerm, Query, UnsupportedQuery
+from pocbounds.queryir import CounterfactualTerm, Query, UnsupportedQuery, ZeroEvidenceProbability
 from pocbounds.simgen import random_model, run_simulation
 
 from conftest import exact

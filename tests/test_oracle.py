@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from pocbounds.engine import ZeroEvidenceProbability, bound
+from pocbounds.engine import bound
 from pocbounds.model import EPS_NUM, Infeasible, dataset_from_counts, dataset_from_probs
 from pocbounds.oracle import tight_bounds
-from pocbounds.queryir import canonicalize, parse_query
+from pocbounds.queryir import ZeroEvidenceProbability, canonicalize, parse_query
 from pocbounds.simgen import counts_from_masses, random_model, random_query
 
 from conftest import exact

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from pocbounds.engine import ZeroEvidenceProbability
 from pocbounds.model import EPS_NUM, Infeasible, dataset_from_counts
 from pocbounds.oracle import _closed_form, _exact_bounds
 from pocbounds.queryir import (
@@ -20,6 +19,7 @@ from pocbounds.queryir import (
     ZERO,
     CounterfactualTerm,
     Query,
+    ZeroEvidenceProbability,
     canonicalize,
     parse_query,
 )

@@ -9,10 +9,16 @@ import random
 import pytest
 
 from pocbounds.cli import _REPRODUCE_BOUNDS, fixture_path
-from pocbounds.engine import ZeroEvidenceProbability
 from pocbounds.model import Infeasible, dataset_from_counts, load_dataset
 from pocbounds.oracle import _exact_bounds
-from pocbounds.queryir import EXACT, STANDARD, ZERO, canonicalize, parse_query
+from pocbounds.queryir import (
+    EXACT,
+    STANDARD,
+    ZERO,
+    ZeroEvidenceProbability,
+    canonicalize,
+    parse_query,
+)
 from pocbounds.simgen import counts_from_masses, random_model
 
 from conftest import FORMS, draw_kind

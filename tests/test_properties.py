@@ -5,7 +5,7 @@ import random
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pocbounds.engine import ZeroEvidenceProbability, bound
+from pocbounds.engine import bound
 from pocbounds.model import Infeasible, dataset_from_counts, dataset_from_probs
 from pocbounds.oracle import tight_bounds
 from pocbounds.queryir import (
@@ -14,6 +14,7 @@ from pocbounds.queryir import (
     ZERO,
     CounterfactualTerm,
     Query,
+    ZeroEvidenceProbability,
     canonicalize,
     format_query,
     parse_query,

@@ -7,8 +7,8 @@ response-type LP of Balke & Pearl (1997) in lp_reference.py.
 
 from __future__ import annotations
 
-from pocbounds.engine import _evidence_divisor
 from pocbounds.model import Dataset, Interval
+from pocbounds.queryir import canonicalize, divisor, parse_query
 
 from conftest import exact
 
@@ -22,7 +22,7 @@ def tian_pearl(dataset: Dataset, kind: str) -> Interval:
 
     Convention: x = x1 (treated), x' = x2, y = y1, y' = y2. PS comes from the
     PN bounds by exchanging x with x' and y with y'. Conditioning follows the
-    engine's zero-evidence rule.
+    zero-evidence rule of queryir.divisor.
     """
     if dataset.space.m != 2 or dataset.space.n != 2:
         raise NotBinary(f"need m = n = 2, got m={dataset.space.m}, n={dataset.space.n}")
@@ -36,11 +36,11 @@ def tian_pearl(dataset: Dataset, kind: str) -> Interval:
         lo = max(0.0, y_x - y_xp, y - y_xp, y_x - y)
         hi = min(y_x, yp_xp, xy + xpyp, y_x - y_xp + xyp + xpy)
     elif what == "PN":
-        _evidence_divisor(dataset, 1, 1)
+        divisor(dataset, canonicalize(parse_query("P(y2_x2 | x1, y1)", dataset.space)))
         lo = max(0.0, (y - y_xp) / xy)
         hi = min(1.0, (yp_xp - xpyp) / xy)
     elif what == "PS":
-        _evidence_divisor(dataset, 2, 2)
+        divisor(dataset, canonicalize(parse_query("P(y1_x1 | x2, y2)", dataset.space)))
         lo = max(0.0, (yp - yp_x) / xpyp)
         hi = min(1.0, (y_x - xy) / xpyp)
     else:
