@@ -513,6 +513,89 @@ class TestCellAndRowTypes:
         assert exact(ds, "do", 1, 1) == 1 and exact(ds, "joint", 1, 2) == 0
 
 
+class _Count(int):
+    """An int subclass: a valid count that is not exactly an int."""
+
+
+EXP_2x3 = [[6, 4, 5], [3, 7, 2]]
+OBS_2x3 = [[3, 1, 2], [2, 4, 1]]
+
+
+class TestCountRowTypes:
+    """Count rows that mix plain ints with other cells give the message, or
+    the Dataset, that a row of plain ints with the same values gives."""
+
+    @pytest.mark.parametrize(
+        "exp, obs, message",
+        [
+            ([[6, True, 5], [3, 7, 2]], OBS_2x3, "experimental counts must be nonnegative integers, got True at (x1, y2)"),
+            ([[6, 4, 5], [3, 7, False]], OBS_2x3, "experimental counts must be nonnegative integers, got False at (x2, y3)"),
+            (EXP_2x3, [[3, 1, 2], [2, -4, 1]], "observational counts must be nonnegative integers, got -4 at (x2, y2)"),
+            (EXP_2x3, [[3, 1, -2], [True, 4, 1]], "observational counts must be nonnegative integers, got -2 at (x1, y3)"),
+            ([[6, 4, 5], [-3, np.int64(7), 2]], OBS_2x3, "experimental counts must be nonnegative integers, got -3 at (x2, y1)"),
+            ([[6, 4, 5], [_Count(3), -7, 2]], OBS_2x3, "experimental counts must be nonnegative integers, got -7 at (x2, y2)"),
+            ([[6, 4, 5], [3, np.int64(-7), 2]], OBS_2x3, "experimental counts must be nonnegative integers, got np.int64(-7) at (x2, y2)"),
+            ([[0, 0, 0], [3, 7, 2.0]], OBS_2x3, "experimental counts must be nonnegative integers, got 2.0 at (x2, y3)"),
+            ([[0, 0, 0], [3, 7, 2]], OBS_2x3, "experimental row for x1 has zero total"),
+            (EXP_2x3, [[0, 0, 0], [0, _Count(0), 0]], "observational counts have zero grand total"),
+        ],
+    )
+    def test_mixed_row_message(self, exp, obs, message):
+        with pytest.raises(DataError) as info:
+            dataset_from_counts(exp, obs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("cell", [_Count, np.int64, np.uint8, int])
+    def test_int_like_cells_give_plain_dataset(self, cell):
+        plain = dataset_from_counts(EXP_2x3, OBS_2x3)
+        for j, i in itertools.product(range(2), range(3)):
+            exp = [list(row) for row in EXP_2x3]
+            obs = [list(row) for row in OBS_2x3]
+            exp[j][i] = cell(exp[j][i])
+            obs[j][i] = cell(obs[j][i])
+            ds = dataset_from_counts(exp, obs)
+            assert ds == plain
+            cells = [ds.den, *ds.px, *ds.py, *itertools.chain(*ds.do, *ds.joint)]
+            assert all(type(c) is int for c in cells)
+
+
+@st.composite
+def count_tables_up_to_8x4(draw):
+    """Count tables from 2x2 to 8x4, often inconsistent; every row and the grand total > 0."""
+    m, n = draw(st.integers(2, 8)), draw(st.integers(2, 4))
+    cell = st.integers(0, 40) | st.integers(0, 10**9)
+    exp = [draw(st.lists(cell, min_size=n, max_size=n).filter(any)) for _ in range(m)]
+    obs = [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(m)]
+    if not any(map(any, obs)):
+        obs[0][0] = 1
+    return exp, obs
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_tables_up_to_8x4())
+def test_counts_ingest_matches_fraction_reference(tables):
+    exp, obs = tables
+    ds = dataset_from_counts(exp, obs)
+    totals = [sum(row) for row in exp]
+    grand = sum(map(sum, obs))
+    den = ds.den
+    assert den == math.lcm(grand, *totals)
+    do = [[Fraction(c, t) for c in row] for row, t in zip(exp, totals)]
+    joint = [[Fraction(c, grand) for c in row] for row in obs]
+    assert ds.do == tuple(tuple(int(v * den) for v in row) for row in do)
+    assert ds.joint == tuple(tuple(int(v * den) for v in row) for row in joint)
+    assert all(v * den == int(v * den) for row in do + joint for v in row)
+    assert ds.px == tuple(int(sum(row) * den) for row in joint)
+    assert ds.py == tuple(int(sum(col) * den) for col in zip(*joint))
+    violations = tuple(
+        model.Violation(j, i, float(xy - d))
+        for j, (do_row, xy_row) in enumerate(zip(do, joint), start=1)
+        for i, (d, xy) in enumerate(zip(do_row, xy_row), start=1)
+        if xy > d
+    )
+    assert ds.validation == model.ValidationReport(not violations, violations)
+
+
 @pytest.mark.parametrize(
     "doc, prefix",
     [

@@ -171,6 +171,26 @@ class TestReproducibility:
         for rs, rl in zip(short.records, long_.records):
             assert rs.fractions == rl.fractions
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**40])
+    def test_reseeded_generator_gives_fresh_stream(self, seed):
+        # Seeding a used random.Random with an int restarts it on the stream
+        # a new random.Random(int) gives, so one generator can serve every
+        # sample of a run.
+        rng = random.Random()
+        for idx in (0, 1, 999):
+            s = (seed << 64) | idx
+            rng.seed(s)
+            fresh = random.Random(s)
+            assert generate_sample(rng) == generate_sample(fresh)
+            assert rng.getstate() == fresh.getstate()
+
+    def test_records_follow_per_sample_seeds(self):
+        # Sample idx of run_simulation(n, seed) is generate_sample on the
+        # stream of (seed << 64) | idx.
+        summary = run_simulation(4, seed=2**40)
+        for idx, rec in enumerate(summary.records):
+            assert (rec.fractions, rec.dataset) == generate_sample(rng_for(2**40, idx))
+
 
 class TestRecordsAndSummary:
     def test_record_derived_fields(self):
@@ -251,3 +271,17 @@ class TestCsv:
         assert digest == "b502f584ef04a1b8936e2cda86b0c5526e27715733ab2c9372d20c2fafb29b45", (
             "run_simulation(200, seed=0) CSV changed"
         )
+
+    @pytest.mark.parametrize(
+        "num_samples, seed, expected",
+        [
+            (300, 5, "32ddc5340ed5d03319f6c4b25d41d57e6b687ae3f5719fbe071ad9ff9c0a3e68"),
+            (100, 2**40, "2cc8578443717bd2dd8d93ab2260bbb07d74e761498082d6c56643b37fec8f30"),
+        ],
+    )
+    def test_csv_bytes_pinned_other_seeds(self, num_samples, seed, expected):
+        # Seeds whose per-sample ints (seed << 64) | idx are large, and one
+        # run past the first few hundred samples.
+        summary = run_simulation(num_samples, seed=seed)
+        digest = hashlib.sha256(export_csv(summary).encode("utf-8")).hexdigest()
+        assert digest == expected, f"run_simulation({num_samples}, seed={seed}) CSV changed"
