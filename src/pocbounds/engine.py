@@ -171,15 +171,14 @@ class _Evaluator:
         key = (terms, ex, ey)
         hit = self.memo.get(key)
         if hit is None:
-            hit = self.memo[key] = self._dispatch(terms, ex, ey)
+            if len(terms) > 1:
+                hit = self._conjunction(terms, ex, ey)
+            elif terms and (ex is not None or ey is not None):
+                hit = self._single(terms[0], ex, ey)
+            else:
+                hit = self._point(terms, ex, ey)
+            self.memo[key] = hit
         return hit
-
-    def _dispatch(self, terms, ex, ey):
-        if len(terms) > 1:
-            return self._conjunction(terms, ex, ey)
-        if terms and (ex is not None or ey is not None):
-            return self._single(terms[0], ex, ey)
-        return self._point(terms, ex, ey)
 
     def _ends(self, lo, hi):
         """lo and hi, each clamped to [0, den]."""
@@ -239,10 +238,14 @@ class _Evaluator:
             if ey == i:
                 # The event holds on all of e_j = P(x_j, y_i), so a + D = P(y_i_x_j).
                 a = e_j
-        lower = [a, a + d + e_out - ds.den + ds.px[j - 1]]
-        upper = [a + d, a + e_out]
+        den = ds.den
+        frechet = a + d + e_out - den + ds.px[j - 1]
         if not self.trace:
-            return self._ends(max(lower), min(upper)), None
+            lo = a if a >= frechet else frechet
+            hi = a + (d if d <= e_out else e_out)
+            return (min(den, max(0, lo)), min(den, max(0, hi))), None
+        lower = [a, frechet]
+        upper = [a + d, a + e_out]
         out, a_label, d_label = subquery_label((), ex, ey), "0", f"P(y{i}_x{j})-P(x{j}, y{i})"
         if ex is not None:
             theorem = "T3" if ey is None else "T4"

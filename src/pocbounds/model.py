@@ -11,9 +11,12 @@ over its row total, the observational table over its grand total. Counts
 are kept as given. A probability cell is lifted to the closest rational
 with denominator at most 10**9 (Fraction.limit_denominator); each row (or
 the whole table) is then scaled to integers over the least common
-denominator, so it sums to its denominator exactly. A plain int count or
-float probability skips the abstract-type checks; any other cell (a bool, a
-NumPy scalar) takes them, with the same messages.
+denominator, so it sums to its denominator exactly. A count row of plain
+ints >= 0 is taken as it is, with no per-cell work; any other count row,
+and every probability row, is checked cell by cell. There a plain float
+probability skips the abstract-type checks; any other cell (a bool, a
+NumPy scalar) takes them, and the first bad cell is named, with the same
+messages as before.
 
 Ingest then writes every cell and marginal over one common denominator
 den, the lcm of the row totals and the grand total, by multiplication, and
@@ -221,11 +224,22 @@ def _over_lcm(lifted: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [p * (scale // q) for p, q in lifted], scale
 
 
-def _cells(table, counts: bool, side: str) -> list[list]:
-    """Check and convert every cell: a count to int, a probability by _lift."""
+def _cells(table, counts: bool, side: str) -> list:
+    """Check and convert every cell: a count to int, a probability by _lift.
+
+    A count row whose cells are all plain ints >= 0 is kept as it is; any
+    other row takes the per-cell checks, which name its first bad cell.
+    """
     what = f"{side} counts" if counts else f"{side} probabilities"
     rows = []
     for j, row in enumerate(table, start=1):
+        if counts:
+            for v in row:
+                if type(v) is not int or v < 0:
+                    break
+            else:
+                rows.append(row)
+                continue
         cells = []
         for i, v in enumerate(row, start=1):
             if type(v) is not (int if counts else float) and (
@@ -264,12 +278,14 @@ def _experimental(table, counts: bool) -> tuple[list, list]:
 def _observational(table, counts: bool) -> tuple[list, int]:
     """(num, den): every cell over the grand total, checked as _experimental checks a row."""
     rows = _cells(table, counts, "observational")
-    flat = [c for row in rows for c in row]
-    ints, scale = (flat, 1) if counts else _over_lcm(flat)
+    if counts:
+        grand = sum(map(sum, rows))
+        if grand <= 0:
+            raise ZeroGrandTotal("observational counts have zero grand total")
+        return rows, grand
+    ints, scale = _over_lcm([c for row in rows for c in row])
     grand = sum(ints)
-    if counts and grand <= 0:
-        raise ZeroGrandTotal("observational counts have zero grand total")
-    if not counts and abs(grand / scale - 1.0) > EPS_PROBS:
+    if abs(grand / scale - 1.0) > EPS_PROBS:
         raise DataError(f"observational table sums to {grand / scale}, expected 1")
     n = len(rows[0])
     return [ints[k : k + n] for k in range(0, len(ints), n)], grand
@@ -309,21 +325,24 @@ def _ingest(
     exp_rows, row_totals = _experimental(exp_table, exp_counts)
     obs_rows, grand = _observational(obs_table, obs_counts)
     den = math.lcm(grand, *row_totals)
-    do = tuple([tuple([c * (den // d) for c in row]) for row, d in zip(exp_rows, row_totals)])
     scale = den // grand
-    joint = tuple([tuple([c * scale for c in row]) for row in obs_rows])
-    violations = []
-    for j, (do_row, xy_row) in enumerate(zip(do, joint), start=1):
+    do, joint, violations = [], [], []
+    for j, (exp_row, total, obs_row) in enumerate(zip(exp_rows, row_totals, obs_rows), start=1):
+        k = den // total
+        do_row = tuple([c * k for c in exp_row])
+        xy_row = tuple([c * scale for c in obs_row])
+        do.append(do_row)
+        joint.append(xy_row)
         for i, (do_cell, xy) in enumerate(zip(do_row, xy_row), start=1):
             if xy > do_cell:
                 violations.append(Violation(j, i, (xy - do_cell) / den))
     return Dataset(
         space or ProblemSpace(m, n),
         den,
-        do,
-        joint,
-        tuple([sum(row) for row in joint]),
-        tuple([sum(col) for col in zip(*joint)]),
+        tuple(do),
+        tuple(joint),
+        tuple(map(sum, joint)),
+        tuple(map(sum, zip(*joint))),
         ValidationReport(not violations, tuple(violations)),
     )
 

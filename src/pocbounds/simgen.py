@@ -8,9 +8,11 @@ tables it produces, which are consistent by construction; `random_model`
 and `random_query` draw the random cases of the tests and scripts.
 
 Each simulation sample draws a random structural model, thirteen uniforms
-per attempt from its own `random.Random`: nine response-type masses via
-eight sorted cuts, then an observational layer inside the consistency
-envelope. Each table reaches ingest as exact integers on its own scale, so
+per attempt from the stream of its own seed: a run makes one
+`random.Random` and reseeds it for each sample, which gives the stream a
+new generator with that seed would. The uniforms give nine response-type
+masses via eight sorted cuts, then an observational layer inside the
+consistency envelope. Each table reaches ingest as exact integers on its own scale, so
 the experimental table is the masses' marginals exactly. The real value of
 P(y1_x1, y1_x2) is f[0] by construction, so every sample checks containment
 and measures the gap of the derived bounds against a known ground truth.
@@ -111,9 +113,11 @@ def _draw_attempt(rng) -> tuple:
     the row sums (see model._ingest). This float test only spares the ingest
     of draws that fail anyway; generate_sample's exact report decides.
     """
-    *cuts, u1, u2, u3, u4, u5 = [rng.random() for _ in range(13)]
+    r = rng.random
+    cuts = [r(), r(), r(), r(), r(), r(), r(), r()]
     cuts.sort()
     c1, c2, c3, c4, c5, c6, c7, c8 = cuts
+    u1, u2, u3, u4, u5 = r(), r(), r(), r(), r()
     f = (c1, c2 - c1, c3 - c2, c4 - c3, c5 - c4, c6 - c5, c7 - c6, c8 - c7, 1.0 - c8)
     f0, f1, f2, f3, f4, f5, f6, f7, f8 = f
     do11, do12, do13 = f0 + f1 + f2, f3 + f4 + f5, f6 + f7 + f8
@@ -144,10 +148,20 @@ def _dataset_of(exp, obs) -> Dataset:
     observational cell is written exactly as its binary ratio over the largest
     denominator of the six; a difference that rounds below 0 counts 0.
     """
-    ratios = [max(0.0, v).as_integer_ratio() for row in obs for v in row]
-    scale = max([d for _, d in ratios])
+    ratios = []
+    scale = 1
+    for row in obs:
+        for v in row:
+            ratio = (v if v > 0.0 else 0.0).as_integer_ratio()
+            if ratio[1] > scale:
+                scale = ratio[1]
+            ratios.append(ratio)
     c = [p * (scale // d) for p, d in ratios]
-    exp_counts = [[int(v * 2.0**53) for v in row] for row in exp]
+    (e1, e2, e3), (e4, e5, e6) = exp
+    exp_counts = [
+        [int(e1 * 2.0**53), int(e2 * 2.0**53), int(e3 * 2.0**53)],
+        [int(e4 * 2.0**53), int(e5 * 2.0**53), int(e6 * 2.0**53)],
+    ]
     return model.dataset_from_counts(exp_counts, [c[:3], c[3:]])
 
 
@@ -169,27 +183,22 @@ def generate_sample(rng) -> tuple:
 def run_simulation(num_samples: int, seed: int = 0) -> SimulationSummary:
     """Bound P(y1_x1, y1_x2) on num_samples random models.
 
-    Each sample gets its own random.Random, seeded with the one int
-    (seed << 64) | index, so results are reproducible and independent of
-    sample order.
+    Each sample draws from its own stream: the run's one random.Random is
+    reseeded with the int (seed << 64) | index before the sample, which
+    gives the stream of random.Random((seed << 64) | index). Results are
+    reproducible and independent of sample order.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
 
+    rng = random.Random()
     records = []
     for idx in range(num_samples):
-        f, dataset = generate_sample(random.Random((seed << 64) | idx))
-        interval = bound(dataset, QUERY, trace=False).interval
-        records.append(
-            SimulationRecord(
-                fractions=f,
-                dataset=dataset,
-                interval=interval,
-                real_value=f[0],
-            )
-        )
+        rng.seed((seed << 64) | idx)
+        f, dataset = generate_sample(rng)
+        records.append(SimulationRecord(f, dataset, bound(dataset, QUERY, trace=False).interval, f[0]))
     avg_gap = sum(r.gap for r in records) / len(records)
     containment = sum(1 for r in records if r.contained) / len(records)
     return SimulationSummary(

@@ -1,10 +1,11 @@
 """The scalar-draw simulation sampler, kept as a test reference.
 
-simgen._draw_attempt takes each attempt's thirteen uniforms in one
-comprehension. The functions below draw them one uniform() call at a
-time; the batched draw must give the same masses and the same tables,
-reject the draws that fail all twelve inequalities of the consistency
-envelope checked in floats, and leave the generator in the same state.
+simgen._draw_attempt takes each attempt's thirteen uniforms by bare
+random() calls, the eight cuts first. The functions below draw them one
+uniform() call at a time; the batched draw must give the same masses and
+the same tables, reject the draws that fail all twelve inequalities of the
+consistency envelope checked in floats, and leave the generator in the
+same state.
 """
 
 from __future__ import annotations
