@@ -12,8 +12,11 @@ object `run.py` prints last) is kept.
 The output file holds, per workload, every run's result line; per metric,
 each side's median and quartiles over its runs; the number of pairs in which
 the change was better (by the metric's `better` direction in
-`BENCHMARK.json`); and whether the medians differ by more than the parent's
-interquartile range. With --append, the sets already in the file are kept
+`BENCHMARK.json`); whether the medians differ by more than the parent's
+interquartile range; and whether the change's median is worse than the
+parent's by more than the metric's `bound` in `BENCHMARK.json`, a fraction
+of the parent's median (`exceeds_bound`, with one warning line printed for
+each such metric). BENCHMARK.json is only read. With --append, the sets already in the file are kept
 and the new ones added after them, so one file can gather runs made with
 different seeds, durations or --trace.
 
@@ -47,10 +50,11 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def directions(root: Path) -> dict[str, str]:
-    """Each metric's better direction ('higher' or 'lower'), from BENCHMARK.json."""
+def metric_specs(root: Path) -> dict[str, dict]:
+    """Each metric's entry in BENCHMARK.json: its `better` direction ('higher'
+    or 'lower') and, for an end-to-end metric, its `bound`."""
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def revision(root: Path) -> str:
@@ -80,8 +84,9 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, pairs won by the change, median gap against the parent's IQR."""
+def summarize(runs: list[dict], specs: dict[str, dict]) -> dict:
+    """Per metric: each side's median and quartiles, pairs won by the change,
+    median gap against the parent's IQR, and against the metric's bound."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     names = by_side["parent"][0]["result"]["metrics"]
     out = {}
@@ -91,7 +96,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         }
         stats = {side: quartiles(values[side]) for side in SIDES}
         entry = {**stats, "unit": by_side["parent"][0]["result"]["metrics"][name]["unit"]}
-        direction = better.get(name)
+        spec = specs.get(name, {})
+        direction = spec.get("better")
         if direction:
             sign = 1 if direction == "higher" else -1
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
@@ -103,6 +109,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 pairs=len(values["parent"]),
                 median_gain_over_parent_iqr=gap > iqr,
             )
+            if "bound" in spec:
+                parent = stats["parent"]["median"]
+                entry.update(bound=spec["bound"], exceeds_bound=-gap > spec["bound"] * abs(parent))
         out[name] = entry
     return out
 
@@ -121,7 +130,7 @@ def main() -> int:
     ns = ap.parse_args()
 
     roots = {"parent": ns.parent.resolve(), "change": ns.change.resolve()}
-    better = directions(roots["change"])
+    specs = metric_specs(roots["change"])
     seeds = parse_seeds(ns.seeds)
     doc = {"sets": []}
     if ns.append and ns.out.exists():
@@ -142,6 +151,14 @@ def main() -> int:
                 value = result["metrics"].get("ops_per_s", {}).get("value")
                 shown = f" ops_per_s={value:.4g}" if value is not None else ""
                 print(f"{workload} seed {seed} {side}: correct={result['correct']}{shown}", flush=True)
+        summary = summarize(runs, specs)
+        for name, entry in summary.items():
+            if entry.get("exceeds_bound"):
+                print(
+                    f"warning: {workload} {name}: change median {entry['change']['median']:.6g} is worse "
+                    f"than parent median {entry['parent']['median']:.6g} by more than {entry['bound']:.0%}",
+                    flush=True,
+                )
         doc["sets"].append(
             {
                 "workload": workload,
@@ -151,7 +168,7 @@ def main() -> int:
                 "note": ns.note,
                 "revisions": {side: revision(root) for side, root in roots.items()},
                 "all_correct": all(r["result"]["correct"] for r in runs),
-                "summary": summarize(runs, better),
+                "summary": summary,
                 "runs": runs,
             }
         )

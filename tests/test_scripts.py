@@ -1,5 +1,6 @@
 """The scripts that draw random models from `pocbounds.simgen` run end to end."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -66,3 +67,46 @@ def test_run_simulation_refuses_bad_counts(arg, value):
     assert out.stdout == ""
     assert f"argument {arg}: invalid" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def _bench_ab():
+    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _made_up_runs(metric, unit, parent_values, change_values):
+    return [
+        {"side": side, "pair": k, "result": {"metrics": {metric: {"value": v, "unit": unit}}}}
+        for side, values in (("parent", parent_values), ("change", change_values))
+        for k, v in enumerate(values)
+    ]
+
+
+@pytest.mark.parametrize("rise, flagged", [(1.11, True), (1.09, False), (0.8, False)])
+def test_bench_ab_flags_a_metric_worse_than_its_bound(rise, flagged):
+    bench_ab = _bench_ab()
+    specs = bench_ab.metric_specs(ROOT)
+    assert specs["peak_rss_mb"]["bound"] == 0.1
+    parent = [18.4, 18.5, 18.6]
+    runs = _made_up_runs("peak_rss_mb", "MB", parent, [v * rise for v in parent])
+    entry = bench_ab.summarize(runs, specs)["peak_rss_mb"]
+    assert entry["bound"] == 0.1
+    assert entry["exceeds_bound"] is flagged
+
+
+@pytest.mark.parametrize("ratio, flagged", [(0.74, True), (0.76, False), (1.5, False)])
+def test_bench_ab_bound_follows_the_better_direction(ratio, flagged):
+    # ops_per_s is better higher: only a drop past its 25 % bound is flagged.
+    bench_ab = _bench_ab()
+    runs = _made_up_runs("ops_per_s", "ops/s", [500.0, 510.0], [500.0 * ratio, 510.0 * ratio])
+    entry = bench_ab.summarize(runs, bench_ab.metric_specs(ROOT))["ops_per_s"]
+    assert entry["exceeds_bound"] is flagged
+
+
+def test_bench_ab_per_layer_metric_has_no_bound():
+    bench_ab = _bench_ab()
+    runs = _made_up_runs("engine.bound_self_us", "us", [10.0], [20.0])
+    entry = bench_ab.summarize(runs, bench_ab.metric_specs(ROOT))["engine.bound_self_us"]
+    assert "exceeds_bound" not in entry and entry["change_better_pairs"] == 0
