@@ -13,10 +13,9 @@ with denominator at most 10**9 (Fraction.limit_denominator); each row (or
 the whole table) is then scaled to integers over the least common
 denominator, so it sums to its denominator exactly. A count row of plain
 ints >= 0 is taken as it is, with no per-cell work; any other count row,
-and every probability row, is checked cell by cell. There a plain float
-probability skips the abstract-type checks; any other cell (a bool, a
-NumPy scalar) takes them, and the first bad cell is named, with the same
-messages as before.
+and every probability row, is checked cell by cell, and the first bad cell
+is named. There a plain int count or float probability skips the
+abstract-type checks; any other cell (a bool, a NumPy scalar) takes them.
 
 Ingest then writes every cell and marginal over one common denominator
 den, the lcm of the row totals and the grand total, by multiplication, and

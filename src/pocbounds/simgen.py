@@ -12,10 +12,11 @@ per attempt from the stream of its own seed: a run makes one
 `random.Random` and reseeds it for each sample, which gives the stream a
 new generator with that seed would. The uniforms give nine response-type
 masses via eight sorted cuts, then an observational layer inside the
-consistency envelope. Each table reaches ingest as exact integers on its own scale, so
-the experimental table is the masses' marginals exactly. The real value of
-P(y1_x1, y1_x2) is f[0] by construction, so every sample checks containment
-and measures the gap of the derived bounds against a known ground truth.
+consistency envelope. Each table reaches ingest as exact integers on its
+own scale, so the experimental table is the masses' marginals exactly. The
+real value of P(y1_x1, y1_x2) is f[0] by construction, so every sample
+checks containment and measures the gap of the derived bounds against a
+known ground truth.
 """
 
 from __future__ import annotations
