@@ -238,12 +238,11 @@ class _Evaluator:
             if ey == i:
                 # The event holds on all of e_j = P(x_j, y_i), so a + D = P(y_i_x_j).
                 a = e_j
-        den = ds.den
-        frechet = a + d + e_out - den + ds.px[j - 1]
+        frechet = a + d + e_out - ds.den + ds.px[j - 1]
         if not self.trace:
             lo = a if a >= frechet else frechet
             hi = a + (d if d <= e_out else e_out)
-            return (min(den, max(0, lo)), min(den, max(0, hi))), None
+            return self._ends(lo, hi), None
         lower = [a, frechet]
         upper = [a + d, a + e_out]
         out, a_label, d_label = subquery_label((), ex, ey), "0", f"P(y{i}_x{j})-P(x{j}, y{i})"
