@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sized
+from collections.abc import Mapping, Set, Sized
 from numbers import Integral, Real
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -178,8 +178,9 @@ class Dataset(NamedTuple):
 
 
 def _is_row(value) -> bool:
+    # A set or a mapping has no row or cell order to read, so it is no row.
     return type(value) in (list, tuple) or (
-        isinstance(value, Sized) and not isinstance(value, (str, bytes))
+        isinstance(value, Sized) and not isinstance(value, (str, bytes, Set, Mapping))
     )
 
 
@@ -408,6 +409,9 @@ def load_dataset(path: str | Path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad syntax, text that is not UTF-8 and an
+            # integer literal longer than int() converts; RecursionError,
+            # nesting too deep to decode.
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
     return dataset_from_json(doc)

@@ -132,6 +132,29 @@ def divisor(dataset: Dataset, cq: CanonicalQuery) -> int:
 _TOKEN_RE = re.compile(r"\s*(y(\d+)_x(\d+)|x(\d+)|y(\d+)|(\S))")
 
 
+class _LongIndex(int):
+    """An index with more digits than int() converts (sys.get_int_max_str_digits).
+
+    Its value, 0, lies in no space, so validate_indices refuses it in its
+    usual order; formatted, it gives the digits as written.
+    """
+
+    def __new__(cls, digits: str):
+        index = super().__new__(cls, 0)
+        index.digits = digits
+        return index
+
+    def __format__(self, spec: str) -> str:
+        return self.digits
+
+
+def _index(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongIndex(digits)
+
+
 def parse_query(text: str, space: ProblemSpace) -> Query:
     """Parse the textual grammar, then check its indices with validate_indices.
 
@@ -175,17 +198,23 @@ def parse_query(text: str, space: ProblemSpace) -> Query:
             raise QuerySyntaxError("expected ',', '|' or ')'", tok.start(1))
         if ch is not None:
             raise QuerySyntaxError("expected an event like y1_x2, x2 or y1", tok.start(1))
-        if yo is not None:
-            if seen_bar:
-                raise UnsupportedQuery(
-                    "cannot condition on a counterfactual term "
-                    f"(y{yo}_x{xt} appears right of '|')"
-                )
-            terms.append(CounterfactualTerm(int(xt), int(yo)))
-        elif bx is not None:
-            bare_x.append(int(bx))
-        else:
-            bare_y.append(int(by))
+        if yo is not None and seen_bar:
+            raise UnsupportedQuery(
+                "cannot condition on a counterfactual term "
+                f"(y{yo}_x{xt} appears right of '|')"
+            )
+        try:
+            if yo is not None:
+                terms.append(CounterfactualTerm(int(xt), int(yo)))
+            elif bx is not None:
+                bare_x.append(int(bx))
+            else:
+                bare_y.append(int(by))
+        except ValueError:  # an index longer than int() converts
+            if yo is not None:
+                terms.append(CounterfactualTerm(_index(xt), _index(yo)))
+            else:
+                (bare_x if bx is not None else bare_y).append(_LongIndex(bx or by))
         expect_event = False
     else:
         raise QuerySyntaxError("unterminated query, expected ')'", len(text))

@@ -28,6 +28,15 @@ INSTITUTE_OBS = [[92, 58], [55, 118], [24, 231], [599, 23]]
 VACCINE_EXP = [[205, 46, 343, 6], [27, 122, 87, 364]]
 VACCINE_OBS = [[6, 74, 632, 5], [52, 243, 147, 41]]
 
+# Dataset files that json.load refuses with an error other than
+# JSONDecodeError: a UnicodeDecodeError, the ValueError of an integer
+# literal longer than int() converts, and a RecursionError.
+MALFORMED_JSON = {
+    "not utf-8": b'{"treatments": ["x\xe9"]}',
+    "long integer": b'{"experimental_counts": [[1' + b"0" * 5000 + b"]]}",
+    "deep nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
 
 @pytest.fixture(scope="session")
 def treatment() -> Dataset:

@@ -143,34 +143,36 @@ def test_criterion_5_oracle_validity():
         worst = min(worst, slack)
         cases += 1
     elapsed = time.perf_counter() - start
-    ok = worst >= -1e-9 and elapsed < 300.0
+    # Both paths round one exact rational per end, so containment needs no slack.
+    ok = worst >= 0.0 and elapsed < 300.0
     report(
         "criterion 5 oracle validity",
         ok,
         f"{cases} dataset/query pairs, worst containment slack {worst:.2e}, {elapsed:.1f}s",
     )
     assert cases >= 200
-    assert worst >= -1e-9, f"LP interval escaped the engine interval by {-worst:.2e}"
+    assert worst >= 0.0, f"LP interval escaped the engine interval by {-worst:.2e}"
     assert elapsed < 300.0, f"runtime {elapsed:.1f}s exceeds 5min"
 
 
 def test_criterion_6_joint_evidence_tightness():
+    # The engine's T1-T4 ends are the closed form's, so they match bit for bit.
     rng = random.Random(606)
-    worst = 0.0
+    unequal = []
     for idx in range(200):
         m, n = SIZES[idx % 4]
         ds = random_model(rng, m, n)
         q = random_query(rng, m, n, kmax=1, variant="xy")
         eng = bound(ds, q).interval
         lp = tight_bounds(ds, q)
-        worst = max(worst, abs(eng.lo - lp.lo), abs(eng.hi - lp.hi))
-    ok = worst <= 1e-9
+        if eng != lp:
+            unequal.append(f"{q}: engine {eng}, LP {lp}")
     report(
         "criterion 6 single-term joint-evidence tightness",
-        ok,
-        f"200 cases, max |engine - LP| = {worst:.2e}",
+        not unequal,
+        f"200 cases, {200 - len(unequal)} equal to the LP interval",
     )
-    assert worst <= 1e-9
+    assert not unequal, "; ".join(unequal)
 
 
 def test_criterion_7_binary_reduction():

@@ -11,6 +11,8 @@ from pocbounds.cli import fixture_path, main
 from pocbounds.model import Interval
 from pocbounds.simgen import SimulationSummary
 
+from conftest import MALFORMED_JSON
+
 
 def write_data(tmp_path, exp, obs, name="data.json"):
     m, n = len(exp), len(exp[0])
@@ -248,6 +250,27 @@ class TestErrorPaths:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["validate", "--data", str(bad)]) == 1
         assert "data error" in capsys.readouterr().err
+
+    def test_malformed_json_gives_no_traceback(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        for kind, content in MALFORMED_JSON.items():
+            bad = tmp_path / f"{kind}.json"
+            bad.write_bytes(content)
+            for command in (
+                ["validate"],
+                ["bound", "--query", "P(y1_x1)"],
+                ["oracle", "--query", "P(y1_x1)"],
+            ):
+                argv = [sys.executable, "-m", "pocbounds.cli", *command, "--data", str(bad)]
+                out = subprocess.run(argv, env=env, capture_output=True, text=True)
+                assert out.returncode == 1, (kind, command, out.stderr)
+                assert out.stderr.startswith(f"data error: {bad}: invalid JSON: "), (kind, command)
+                assert "Traceback" not in out.stderr, (kind, command)
+
+    def test_query_index_longer_than_int_converts(self, capsys):
+        index = "1" * 5000
+        assert main(["bound", "--data", TREATMENT, "--query", f"P(y{index}_x1)"]) == 1
+        assert capsys.readouterr().err == f"query error: y{index} out of range (n=3)\n"
 
     def test_zero_evidence_conditional(self, tmp_path, capsys):
         data = write_data(tmp_path, [[5, 5], [5, 5]], [[5, 0], [3, 2]])

@@ -24,7 +24,7 @@ from pocbounds.model import (
     _over_lcm,
 )
 
-from conftest import exact
+from conftest import MALFORMED_JSON, exact
 
 EXP_2x2 = [[6, 4], [3, 7]]
 OBS_2x2 = [[3, 1], [2, 4]]
@@ -235,6 +235,15 @@ class TestJsonIngestion:
         path.write_text("{not json")
         with pytest.raises(DataError):
             load_dataset(path)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_JSON))
+    def test_load_dataset_malformed_file(self, tmp_path, kind):
+        path = tmp_path / "bad.json"
+        path.write_bytes(MALFORMED_JSON[kind])
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert type(info.value) is DataError
+        assert str(info.value).startswith(f"{path}: invalid JSON: ")
 
     def test_load_dataset_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -467,6 +476,12 @@ _INGEST_ERRORS = [
     ("probs", [[0.6, 0.4], ["abc", 0.7]], P_OBS_2x2, DataError, "experimental probabilities must be numbers, got 'abc' at (x2, y1)"),
     ("probs", [[0.6, 0.4], [True, 0.7]], P_OBS_2x2, DataError, "experimental probabilities must be numbers, got True at (x2, y1)"),
     ("probs", [[0.6, 0.4], [[0.5], 0.7]], P_OBS_2x2, DataError, "experimental probabilities must be numbers, got [0.5] at (x2, y1)"),
+    # a set or a mapping has no order to read rows or cells in
+    ("counts", [{5, 1}, [3, 3]], OBS_2x2, ShapeMismatch, "experimental counts: row x1 must be a list of cells, got {"),
+    ("probs", P_EXP_2x2, [[0.3, 0.1], frozenset({0.2, 0.4})], ShapeMismatch, "observational probs: row x2 must be a list of cells, got frozenset("),
+    ("counts", {(6, 4), (3, 7)}, OBS_2x2, ShapeMismatch, "experimental counts: expected a list of rows, got {"),
+    ("json counts", [{"u": 1, "v": 5}, [3, 3]], OBS_2x2, ShapeMismatch, "experimental table: row x1 must be a list of cells, got {'u': 1, 'v': 5}"),
+    ("json counts", EXP_2x2, {"x1": [3, 1], "x2": [2, 4]}, ShapeMismatch, "observational table: expected a list of rows, got {'x1': [3, 1], 'x2': [2, 4]}"),
 ]
 
 

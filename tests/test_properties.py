@@ -232,15 +232,6 @@ class TestUntracedPath:
 
 
 class TestOracleInvariants:
-    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(case=mass_cases(), data=st.data())
-    def test_closed_forms_contain_the_lp(self, case, data):
-        m, n, ds = case
-        q = data.draw(queries(m, n))
-        eng = bound(ds, q).interval
-        lp = tight_bounds(ds, q)
-        assert eng.lo <= lp.lo and lp.hi <= eng.hi
-
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=mass_cases(sizes=((2, 2), (2, 3), (3, 2), (3, 3))), data=st.data())
     def test_engine_contains_the_tight_interval_exactly(self, case, data):

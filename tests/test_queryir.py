@@ -18,6 +18,7 @@ from pocbounds.queryir import (
 )
 
 SPACE = ProblemSpace(3, 3)
+LONG = "1" * 5000
 
 
 def T(j, i):
@@ -124,6 +125,32 @@ class TestParse:
             parse_query("P(y0_x1)", SPACE)
         with pytest.raises(IndexOutOfRange):
             parse_query("P(y1_x0)", SPACE)
+
+    # N stands for an index of more digits than int() converts
+    # (sys.get_int_max_str_digits).
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("P(yN_x1)", "yN out of range (n=3)"),
+            ("P(y1_xN)", "xN out of range (m=3)"),
+            ("P(yN_xN)", "xN out of range (m=3)"),
+            ("P(y1_x1, xN)", "xN out of range (m=3)"),
+            ("P(y1_x1 | yN)", "yN out of range (n=3)"),
+            # the index check keeps its order: terms first, then the evidence
+            ("P(y1_x9, yN_x1)", "x9 out of range (m=3)"),
+            ("P(y1_x1, xN, y9)", "xN out of range (m=3)"),
+        ],
+    )
+    def test_index_longer_than_int_converts(self, text, message):
+        with pytest.raises(IndexOutOfRange) as exc:
+            parse_query(text.replace("N", LONG), SPACE)
+        assert str(exc.value) == message.replace("N", LONG)
+
+    def test_syntax_error_comes_before_a_long_index(self):
+        with pytest.raises(QuerySyntaxError, match=r"unterminated query"):
+            parse_query(f"P(y{LONG}_x1", SPACE)
+        with pytest.raises(QuerySyntaxError, match=r"trailing input"):
+            parse_query(f"P(y1_x{LONG}) extra", SPACE)
 
 
 class TestQueryType:

@@ -53,22 +53,6 @@ def test_oracle_timings():
     assert out.returncode == 0, out.stderr
 
 
-def test_run_simulation(tmp_path):
-    csv = tmp_path / "sim.csv"
-    out = _run("run_simulation.py", "--samples", "20", "--out", str(csv))
-    assert out.returncode == 0, out.stderr
-    assert len(csv.read_text(encoding="utf-8").splitlines()) == 21
-
-
-@pytest.mark.parametrize("arg, value", [("--samples", "0"), ("--seed", "-1"), ("--bins", "0")])
-def test_run_simulation_refuses_bad_counts(arg, value):
-    out = _run("run_simulation.py", arg, value)
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert f"argument {arg}: invalid" in out.stderr
-    assert "Traceback" not in out.stderr
-
-
 def _bench_ab():
     spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
     module = importlib.util.module_from_spec(spec)
